@@ -1,6 +1,6 @@
-//! Asynchronous scheduler makespan: virtual-clock time to finish the same
-//! evaluation budget with `k` simulated tool runs in flight, vs the
-//! sequential loop, across `k ∈ {1, 2, 4, 8}`.
+//! Refill-policy makespan: virtual-clock time to finish the same evaluation
+//! budget with `k` simulated tool runs in flight, vs the serialized loop,
+//! across `k ∈ {1, 2, 4, 8}`.
 //!
 //! Usage: `cargo bench -p cmmf-bench --bench async_makespan`
 //!        `cargo bench -p cmmf-bench --bench async_makespan -- --smoke`
@@ -9,11 +9,13 @@
 //! clock — the schedule, and therefore every number here, is a pure function
 //! of the seed and the cost model, so this harness needs no wall-clock
 //! statistics and runs identically on any host. The harness first asserts
-//! the scheduler's contracts: `k = 1` reproduces the sequential
-//! [`cmmf::Optimizer`] bit-for-bit, and `k = 4` finishes the budget in at
-//! most half the sequential makespan. `--smoke` runs only those assertions
-//! (the CI gate); a full run sweeps three kernels, also reports ADRS at the
-//! end of each schedule, and writes `BENCH_async.json`.
+//! the scheduler's contracts, both through the one [`cmmf::Optimizer`]: the
+//! refill policy at `async_slots = 1` reproduces the barrier policy at
+//! `async_slots = 0` (batch size 1, Algorithm 2) bit-for-bit, and `k = 4`
+//! finishes the budget in at most half the serialized makespan. `--smoke`
+//! runs only those assertions (the CI gate); a full run sweeps three kernels,
+//! also reports ADRS at the end of each schedule, and writes
+//! `BENCH_async.json`.
 //!
 //! ADRS-at-budget note: every schedule runs the same `n_init + n_iter`
 //! evaluations, and an overlapped schedule finishes them strictly earlier on
@@ -22,7 +24,7 @@
 //! reports final ADRS per `k`; equal ADRS at a smaller makespan is the win.
 
 use cmmf::runner::TrueFront;
-use cmmf::{AsyncOptimizer, CmmfConfig, Optimizer, RunResult};
+use cmmf::{CmmfConfig, Optimizer, RunResult};
 use fidelity_sim::{FlowSimulator, SimParams};
 use hls_model::benchmarks::{self, Benchmark};
 
@@ -55,30 +57,31 @@ fn setup(b: Benchmark) -> (hls_model::DesignSpace, FlowSimulator) {
     )
 }
 
-/// Contract: one slot serializes the schedule and reproduces the sequential
-/// optimizer bit-for-bit — same decisions, same simulated time, same fronts.
+/// Contract: one refill slot serializes the schedule and reproduces the
+/// barrier policy at batch size 1 bit-for-bit — same decisions, same
+/// simulated time, same fronts.
 fn assert_k1_contract() {
     let (space, sim) = setup(Benchmark::SpmvCrs);
-    let seq = Optimizer::new(cfg(1)).run(&space, &sim).expect("runs");
-    let k1 = AsyncOptimizer::new(cfg(1)).run(&space, &sim).expect("runs");
-    assert_eq!(seq.candidate_set, k1.candidate_set, "candidate_set");
-    assert_eq!(seq.evaluated_configs, k1.evaluated_configs, "evaluated");
-    assert_eq!(seq.measured_pareto, k1.measured_pareto, "pareto");
+    let barrier = Optimizer::new(cfg(0)).run(&space, &sim).expect("runs");
+    let k1 = Optimizer::new(cfg(1)).run(&space, &sim).expect("runs");
+    assert_eq!(barrier.candidate_set, k1.candidate_set, "candidate_set");
+    assert_eq!(barrier.evaluated_configs, k1.evaluated_configs, "evaluated");
+    assert_eq!(barrier.measured_pareto, k1.measured_pareto, "pareto");
     assert_eq!(
-        seq.sim_seconds.to_bits(),
+        barrier.sim_seconds.to_bits(),
         k1.sim_seconds.to_bits(),
         "sim_seconds"
     );
-    assert_eq!(seq.hv_history, k1.hv_history, "hv_history");
-    println!("contract ok: async k=1 == sequential optimizer, bit for bit");
+    assert_eq!(barrier.hv_history, k1.hv_history, "hv_history");
+    println!("contract ok: refill async_slots=1 == barrier async_slots=0, bit for bit");
 }
 
 /// Contract: four slots finish the same evaluation budget in at most half
-/// the sequential virtual-clock makespan.
+/// the serialized virtual-clock makespan.
 fn assert_makespan_contract() {
     let (space, sim) = setup(Benchmark::SpmvCrs);
-    let seq = Optimizer::new(cfg(1)).run(&space, &sim).expect("runs");
-    let k4 = AsyncOptimizer::new(cfg(4)).run(&space, &sim).expect("runs");
+    let seq = Optimizer::new(cfg(0)).run(&space, &sim).expect("runs");
+    let k4 = Optimizer::new(cfg(4)).run(&space, &sim).expect("runs");
     assert_eq!(
         seq.candidate_set.len(),
         k4.candidate_set.len(),
@@ -113,7 +116,7 @@ fn sweep() -> Vec<Row> {
         let truth = TrueFront::compute(&space, &sim);
         let mut baseline = f64::NAN;
         for k in SLOTS {
-            let r: RunResult = AsyncOptimizer::new(cfg(k)).run(&space, &sim).expect("runs");
+            let r: RunResult = Optimizer::new(cfg(k)).run(&space, &sim).expect("runs");
             if k == 1 {
                 baseline = r.sim_seconds;
             }

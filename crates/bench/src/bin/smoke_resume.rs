@@ -99,12 +99,14 @@ fn run(dir: &std::path::Path) -> Result<(), String> {
     let text = std::fs::read_to_string(&journal_path).map_err(|e| e.to_string())?;
     let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
     check(!lines.is_empty(), "journal is non-empty")?;
-    const KINDS: [&str; 9] = [
+    const KINDS: [&str; 11] = [
         "run_started",
         "step_started",
         "model_fit",
         "acquisition_scored",
+        "run_dispatched",
         "tool_run",
+        "run_completed",
         "front_updated",
         "checkpoint_written",
         "run_finished",

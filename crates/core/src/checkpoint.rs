@@ -1,13 +1,15 @@
-//! Versioned JSON checkpoints for the Algorithm-2 loop.
+//! Versioned JSON checkpoints for the Algorithm-2 event loop.
 //!
 //! A checkpoint records the *decisions* of a run — the initialization draw,
-//! every step's picks, the candidate-ordering state, and the RNG stream
-//! position — not the derived state (observations, surrogates). Because the
-//! flow simulator and the GP fits are deterministic, [`Optimizer::resume`]
-//! replays those decisions to reconstruct the observation sets and the
-//! surrogate stack bit-for-bit, then continues the loop as if it had never
-//! stopped; the resumed [`RunResult`] is bit-identical to an uninterrupted
-//! run (pinned by `resume_is_bit_identical`).
+//! every dispatched pick, the dispatch/completion event log, the
+//! candidate-ordering state, and the RNG stream position — not the derived
+//! state (observations, surrogates). Because the flow simulator and the GP
+//! fits are deterministic, [`Optimizer::resume`] replays those decisions to
+//! reconstruct the observation sets, the surrogate stack, and the virtual
+//! clock bit-for-bit, then continues the loop as if it had never stopped;
+//! the resumed [`RunResult`] is bit-identical to an uninterrupted run
+//! (pinned by `resume_is_bit_identical` and `async_resume_is_bit_identical`).
+//! Both dispatch policies share the one shape.
 //!
 //! Floating-point state is stored as `u64` bit patterns (`_bits` fields), so
 //! the round-trip is exact; the JSON layer keeps raw number tokens precisely
@@ -16,6 +18,12 @@
 //! configuration is an error, not a silent divergence. `threads` and `tracer`
 //! are excluded: neither can change a result (see ARCHITECTURE.md,
 //! "Determinism & parallelism").
+//!
+//! Version-2 files are migrated on load: their sequential shape (per-step
+//! `picks`) becomes the equivalent barrier event log, their asynchronous
+//! shape drops the `is_async` flag, and their fingerprint drops the
+//! `batch_parallel_tools=true` field (a file written with `false` has no
+//! equivalent run and is refused).
 //!
 //! [`Optimizer::resume`]: crate::Optimizer::resume
 //! [`RunResult`]: crate::RunResult
@@ -26,12 +34,14 @@ use std::path::Path;
 use trace::json::{self, JsonValue};
 
 /// Current checkpoint schema version. Bumped on any incompatible change;
-/// loading a different version is a [`CmmfError::Checkpoint`]. Version 2
-/// added the asynchronous-scheduler section (`is_async`, `dispatches`,
-/// `schedule`, `in_flight`) and the `async_slots` fingerprint field.
-pub const CHECKPOINT_VERSION: u64 = 2;
+/// loading a version other than this or the migratable version 2 is a
+/// [`CmmfError::Checkpoint`]. Version 2 added the event-log section and the
+/// `async_slots` fingerprint field; version 3 made the event log the only
+/// shape (dropping `picks` and `is_async`) and dropped
+/// `batch_parallel_tools` from the fingerprint.
+pub const CHECKPOINT_VERSION: u64 = 3;
 
-/// One recorded batch pick of a completed step.
+/// One recorded pick of a dispatch decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PickRecord {
     /// Chosen configuration index.
@@ -42,14 +52,15 @@ pub struct PickRecord {
     pub acquisition_bits: u64,
 }
 
-/// One scheduler event of an asynchronous run's BO phase, in virtual-clock
-/// order. The event log is what makes a mid-overlap kill resumable: replaying
-/// it interleaves the recorded dispatch decisions and completions exactly as
-/// the interrupted run did, reconstructing the surrogate-fit chain and the
+/// One event of a run's BO phase, in virtual-clock order. The event log is
+/// what makes a kill resumable, even mid-overlap: replaying it interleaves
+/// the recorded dispatch decisions and completions exactly as the
+/// interrupted run did, reconstructing the surrogate-fit chain and the
 /// virtual clock bit-for-bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScheduleEvent {
-    /// The `i`-th entry of `dispatches` entered the scheduler.
+    /// The `i`-th entry of `dispatches` entered the scheduler. Under the
+    /// barrier policy, consecutive dispatches belong to one decision.
     Dispatch(usize),
     /// The `i`-th entry of `dispatches` finished its simulated flow and was
     /// observed.
@@ -82,47 +93,41 @@ impl ScheduleEvent {
     }
 }
 
-/// A serializable snapshot of the loop after `completed_steps` steps.
+/// A serializable snapshot of the loop after `completed_steps` completion
+/// phases.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunCheckpoint {
     /// Schema version ([`CHECKPOINT_VERSION`]).
     pub version: u64,
     /// Fingerprint of every result-relevant [`CmmfConfig`] field.
     pub fingerprint: String,
-    /// True when written by the asynchronous scheduler
-    /// ([`crate::AsyncOptimizer`]): the `dispatches`/`schedule`/`in_flight`
-    /// section is then authoritative and `picks` stays empty. Sequential
-    /// checkpoints leave the async section empty instead. Each optimizer
-    /// resumes only its own kind.
-    pub is_async: bool,
-    /// Optimization steps completed — picks observed for the sequential loop,
-    /// completions folded in for the asynchronous one.
+    /// Completion phases so far: steps under the barrier policy, single
+    /// completions under refill.
     pub completed_steps: usize,
-    /// The initialization draw, in observation order (rank decides each
+    /// The initialization draw, in rank order (rank decides each
     /// configuration's top stage).
     pub init: Vec<usize>,
-    /// Per completed step, the batch picks in pick order (sequential runs).
-    pub picks: Vec<Vec<PickRecord>>,
-    /// Async section: the BO picks in dispatch order.
+    /// The BO picks in dispatch order.
     pub dispatches: Vec<PickRecord>,
-    /// Async section: the interleaved dispatch/completion event log of the BO
-    /// phase (initialization runs replay implicitly from `init`).
+    /// The interleaved dispatch/completion event log of the BO phase
+    /// (initialization runs replay implicitly from `init`).
     pub schedule: Vec<ScheduleEvent>,
-    /// Async section: the in-flight set — runs dispatched but not complete at
-    /// the snapshot, as `[dispatch index, finish-time f64 bits]` in dispatch
-    /// order. Redundant with a `schedule` replay; stored so resume can verify
-    /// the replayed schedule against the recorded one (a mismatched simulator
-    /// or space fails loudly instead of diverging).
+    /// The in-flight set — runs dispatched but not complete at the snapshot,
+    /// as `[dispatch index, finish-time f64 bits]` in dispatch order. Always
+    /// empty under the barrier policy, which checkpoints between steps.
+    /// Redundant with a `schedule` replay; stored so resume can verify the
+    /// replayed schedule against the recorded one (a mismatched simulator or
+    /// space fails loudly instead of diverging).
     pub in_flight: Vec<[u64; 2]>,
     /// The not-yet-sampled configuration indices, in the exact (shuffled)
     /// order the interrupted run held them.
     pub unsampled: Vec<usize>,
-    /// The master RNG's xoshiro256++ state at the end of the last step.
+    /// The master RNG's xoshiro256++ state at the snapshot.
     pub rng_state: [u64; 4],
-    /// Accumulated simulated tool seconds — the virtual-clock reading for
-    /// async runs — as `f64` bits.
+    /// The virtual-clock reading (simulated tool seconds so far), as `f64`
+    /// bits.
     pub sim_seconds_bits: u64,
-    /// Per completed step, the observed-front hypervolume per fidelity, as
+    /// Per completion phase, the observed-front hypervolume per fidelity, as
     /// `f64` bits.
     pub hv_history_bits: Vec<[u64; 3]>,
 }
@@ -130,17 +135,17 @@ pub struct RunCheckpoint {
 impl RunCheckpoint {
     /// The configuration fingerprint a checkpoint of `cfg` carries: every
     /// field that can influence the result, formatted deterministically
-    /// (floats as bit patterns). `threads` and `tracer` are deliberately
-    /// absent — both are result-transparent. `warm_start_hyperopt` and
-    /// `mixed_precision` are also absent: they steer only the hyperparameter
-    /// *search*, and restore replays the full Optimize chain from step 0
-    /// under the resuming process's flags, so a checkpoint stays loadable
-    /// when they differ.
+    /// (floats as bit patterns). `threads`, `arena` and `tracer` are
+    /// deliberately absent — all are result-transparent. `warm_start_hyperopt`
+    /// and `mixed_precision` are also absent: they steer only the
+    /// hyperparameter *search*, and restore replays the full Optimize chain
+    /// from step 0 under the resuming process's flags, so a checkpoint stays
+    /// loadable when they differ.
     pub fn fingerprint_of(cfg: &CmmfConfig) -> String {
         format!(
             "v{CHECKPOINT_VERSION};n_init={};n_init_syn={};n_init_impl={};n_iter={};\
              variant={:?};use_cost_penalty={};cost_exponent={:#x};candidate_pool={};\
-             mc_samples={};batch_size={};batch_parallel_tools={};final_prediction_pool={};\
+             mc_samples={};batch_size={};final_prediction_pool={};\
              escalate_threshold={:#x};refit_every={};incremental={};indexed_eipv={};\
              async_slots={};gp={:?};seed={}",
             cfg.n_init,
@@ -153,7 +158,6 @@ impl RunCheckpoint {
             cfg.candidate_pool,
             cfg.mc_samples,
             cfg.batch_size,
-            cfg.batch_parallel_tools,
             cfg.final_prediction_pool,
             cfg.escalate_threshold.to_bits(),
             cfg.refit_every,
@@ -167,215 +171,126 @@ impl RunCheckpoint {
 
     /// Serializes the checkpoint as one JSON document.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + 16 * self.unsampled.len());
-        out.push_str(&format!(
-            "{{\n  \"version\": {},\n  \"fingerprint\": \"{}\",\n  \"is_async\": {},\n  \"completed_steps\": {},\n",
+        let nums = |row: &[u64]| fmt_list(row, u64::to_string);
+        let schedule: Vec<[u64; 2]> = self.schedule.iter().map(|ev| ev.encode()).collect();
+        format!(
+            "{{\n  \"version\": {},\n  \"fingerprint\": \"{}\",\n  \"completed_steps\": {},\n  \
+             \"init\": {},\n  \"dispatches\": {},\n  \"schedule\": {},\n  \"in_flight\": {},\n  \
+             \"unsampled\": {},\n  \"rng_state\": {},\n  \"sim_seconds_bits\": {},\n  \
+             \"hv_history_bits\": {}\n}}\n",
             self.version,
             json::escape(&self.fingerprint),
-            self.is_async,
-            self.completed_steps
-        ));
-        out.push_str(&format!("  \"init\": {},\n", fmt_usizes(&self.init)));
-        out.push_str("  \"picks\": [");
-        for (i, step) in self.picks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            for (j, p) in step.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&fmt_pick(p));
-            }
-            out.push(']');
-        }
-        out.push_str("],\n");
-        out.push_str("  \"dispatches\": [");
-        for (i, p) in self.dispatches.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&fmt_pick(p));
-        }
-        out.push_str("],\n");
-        out.push_str("  \"schedule\": [");
-        for (i, ev) in self.schedule.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let [kind, index] = ev.encode();
-            out.push_str(&format!("[{kind},{index}]"));
-        }
-        out.push_str("],\n");
-        out.push_str("  \"in_flight\": [");
-        for (i, run) in self.in_flight.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("[{},{}]", run[0], run[1]));
-        }
-        out.push_str("],\n");
-        out.push_str(&format!(
-            "  \"unsampled\": {},\n",
-            fmt_usizes(&self.unsampled)
-        ));
-        out.push_str(&format!(
-            "  \"rng_state\": [{},{},{},{}],\n",
-            self.rng_state[0], self.rng_state[1], self.rng_state[2], self.rng_state[3]
-        ));
-        out.push_str(&format!(
-            "  \"sim_seconds_bits\": {},\n",
-            self.sim_seconds_bits
-        ));
-        out.push_str("  \"hv_history_bits\": [");
-        for (i, hv) in self.hv_history_bits.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("[{},{},{}]", hv[0], hv[1], hv[2]));
-        }
-        out.push_str("]\n}\n");
-        out
+            self.completed_steps,
+            fmt_list(&self.init, usize::to_string),
+            fmt_list(&self.dispatches, |p| {
+                format!("[{},{},{}]", p.config, p.stage_index, p.acquisition_bits)
+            }),
+            fmt_list(&schedule, |row| nums(row)),
+            fmt_list(&self.in_flight, |row| nums(row)),
+            fmt_list(&self.unsampled, usize::to_string),
+            nums(&self.rng_state),
+            self.sim_seconds_bits,
+            fmt_list(&self.hv_history_bits, |row| nums(row)),
+        )
     }
 
-    /// Parses a checkpoint from its JSON document.
+    /// Parses a checkpoint from its JSON document, migrating a version-2
+    /// document to the current shape.
     ///
     /// # Errors
     ///
-    /// [`CmmfError::Checkpoint`] on malformed JSON, missing fields, or a
-    /// version other than [`CHECKPOINT_VERSION`].
+    /// [`CmmfError::Checkpoint`] on malformed JSON, missing fields, a version
+    /// other than [`CHECKPOINT_VERSION`] or 2, or a version-2 document that
+    /// cannot be migrated.
     pub fn from_json(text: &str) -> Result<Self, CmmfError> {
         let doc = json::parse(text).map_err(|e| CmmfError::Checkpoint {
             reason: format!("malformed checkpoint: {e}"),
         })?;
         let version = req_u64(&doc, "version")?;
-        if version != CHECKPOINT_VERSION {
+        if version != CHECKPOINT_VERSION && version != 2 {
             return Err(CmmfError::Checkpoint {
                 reason: format!(
-                    "checkpoint version {version} is not the supported {CHECKPOINT_VERSION}"
+                    "checkpoint version {version} is neither the supported \
+                     {CHECKPOINT_VERSION} nor the migratable 2"
                 ),
             });
         }
-        let fingerprint = doc
+        let mut fingerprint = doc
             .get("fingerprint")
             .and_then(JsonValue::as_str)
             .ok_or_else(|| missing("fingerprint"))?
             .to_string();
-        let is_async = doc
-            .get("is_async")
-            .and_then(JsonValue::as_bool)
-            .ok_or_else(|| missing("is_async"))?;
         let completed_steps = usize::try_from(req_u64(&doc, "completed_steps")?)
             .map_err(|_| malformed("completed_steps"))?;
-        let init = usizes(&doc, "init")?;
-        let unsampled = usizes(&doc, "unsampled")?;
-        let picks_raw = doc
-            .get("picks")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| missing("picks"))?;
-        let mut picks = Vec::with_capacity(picks_raw.len());
-        for step in picks_raw {
-            let step = step.as_array().ok_or_else(|| malformed("picks"))?;
-            let mut recs = Vec::with_capacity(step.len());
-            for p in step {
-                recs.push(pick_record(p, "picks")?);
-            }
-            picks.push(recs);
-        }
-        let dispatches: Vec<PickRecord> = doc
-            .get("dispatches")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| missing("dispatches"))?
-            .iter()
-            .map(|p| pick_record(p, "dispatches"))
-            .collect::<Result<_, _>>()?;
-        let schedule: Vec<ScheduleEvent> = pairs(&doc, "schedule")?
+        let mut dispatches = pick_records(array(&doc, "dispatches")?, "dispatches")?;
+        let mut schedule: Vec<ScheduleEvent> = rows(&doc, "schedule")?
             .into_iter()
-            .map(|[kind, index]| {
-                ScheduleEvent::decode(kind, index).ok_or_else(|| malformed("schedule"))
-            })
-            .collect::<Result<_, _>>()?;
-        let in_flight = pairs(&doc, "in_flight")?;
-        let rng_raw = doc
+            .map(|[kind, index]| ScheduleEvent::decode(kind, index))
+            .collect::<Option<_>>()
+            .ok_or_else(|| malformed("schedule"))?;
+        let in_flight = rows(&doc, "in_flight")?;
+        if version == 2 {
+            fingerprint = migrate_v2_fingerprint(&fingerprint)?;
+            let is_async = doc
+                .get("is_async")
+                .and_then(JsonValue::as_bool)
+                .ok_or_else(|| missing("is_async"))?;
+            let picks = array(&doc, "picks")?;
+            let consistent = if is_async {
+                picks.is_empty()
+            } else {
+                picks.len() == completed_steps
+                    && dispatches.is_empty()
+                    && schedule.is_empty()
+                    && in_flight.is_empty()
+            };
+            if !consistent {
+                return Err(CmmfError::Checkpoint {
+                    reason: "inconsistent version-2 checkpoint shape".into(),
+                });
+            }
+            // A sequential step is one barrier decision: its picks dispatch
+            // together, then complete in pick order.
+            for step in picks {
+                let first = dispatches.len();
+                let step = step.as_array().ok_or_else(|| malformed("picks"))?;
+                dispatches.extend(pick_records(step, "picks")?);
+                schedule.extend((first..dispatches.len()).map(ScheduleEvent::Dispatch));
+                schedule.extend((first..dispatches.len()).map(ScheduleEvent::Complete));
+            }
+        }
+        let rng_state = doc
             .get("rng_state")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| missing("rng_state"))?;
-        if rng_raw.len() != 4 {
-            return Err(malformed("rng_state"));
-        }
-        let mut rng_state = [0u64; 4];
-        for (d, v) in rng_state.iter_mut().zip(rng_raw) {
-            *d = v.as_u64().ok_or_else(|| malformed("rng_state"))?;
-        }
-        let sim_seconds_bits = req_u64(&doc, "sim_seconds_bits")?;
-        let hv_raw = doc
-            .get("hv_history_bits")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| missing("hv_history_bits"))?;
-        let mut hv_history_bits = Vec::with_capacity(hv_raw.len());
-        for row in hv_raw {
-            let row = row.as_array().ok_or_else(|| malformed("hv_history_bits"))?;
-            if row.len() != 3 {
-                return Err(malformed("hv_history_bits"));
-            }
-            let mut hv = [0u64; 3];
-            for (d, v) in hv.iter_mut().zip(row) {
-                *d = v.as_u64().ok_or_else(|| malformed("hv_history_bits"))?;
-            }
-            hv_history_bits.push(hv);
-        }
-        if hv_history_bits.len() != completed_steps {
+            .ok_or_else(|| missing("rng_state"))
+            .and_then(|v| u64_row(v).ok_or_else(|| malformed("rng_state")))?;
+        let hv_history_bits = rows(&doc, "hv_history_bits")?;
+        // Every completion phase observes at least one run and records one
+        // front. (The exact phase structure depends on the dispatch policy
+        // and is checked on resume.)
+        let completions = schedule
+            .iter()
+            .filter(|ev| matches!(ev, ScheduleEvent::Complete(_)))
+            .count();
+        if hv_history_bits.len() != completed_steps || completions < completed_steps {
             return Err(CmmfError::Checkpoint {
                 reason: format!(
-                    "inconsistent checkpoint: {} steps but {} hv rows",
-                    completed_steps,
+                    "inconsistent checkpoint: {completed_steps} steps but {} hv rows and \
+                     {completions} completions",
                     hv_history_bits.len()
                 ),
             });
         }
-        if is_async {
-            let completions = schedule
-                .iter()
-                .filter(|ev| matches!(ev, ScheduleEvent::Complete(_)))
-                .count();
-            if !picks.is_empty() || completions != completed_steps {
-                return Err(CmmfError::Checkpoint {
-                    reason: format!(
-                        "inconsistent async checkpoint: {completed_steps} steps but \
-                         {completions} completions and {} sequential pick sets",
-                        picks.len()
-                    ),
-                });
-            }
-        } else if picks.len() != completed_steps
-            || !dispatches.is_empty()
-            || !schedule.is_empty()
-            || !in_flight.is_empty()
-        {
-            return Err(CmmfError::Checkpoint {
-                reason: format!(
-                    "inconsistent sequential checkpoint: {} steps, {} pick sets, \
-                     {} scheduler events",
-                    completed_steps,
-                    picks.len(),
-                    schedule.len()
-                ),
-            });
-        }
         Ok(RunCheckpoint {
-            version,
+            version: CHECKPOINT_VERSION,
             fingerprint,
-            is_async,
             completed_steps,
-            init,
-            picks,
+            init: usizes(&doc, "init")?,
             dispatches,
             schedule,
             in_flight,
-            unsampled,
+            unsampled: usizes(&doc, "unsampled")?,
             rng_state,
-            sim_seconds_bits,
+            sim_seconds_bits: req_u64(&doc, "sim_seconds_bits")?,
             hv_history_bits,
         })
     }
@@ -413,18 +328,31 @@ impl RunCheckpoint {
     }
 }
 
-fn fmt_pick(p: &PickRecord) -> String {
-    format!("[{},{},{}]", p.config, p.stage_index, p.acquisition_bits)
+/// The current fingerprint of the configuration a version-2 fingerprint
+/// describes: version 2 carried a `batch_parallel_tools` field right after
+/// `batch_size`. Only `true` (parallel tool licenses, the one accounting the
+/// virtual clock implements) migrates.
+fn migrate_v2_fingerprint(fp: &str) -> Result<String, CmmfError> {
+    fp.strip_prefix("v2;")
+        .and_then(|rest| rest.split_once(";batch_parallel_tools=true;"))
+        .map(|(head, tail)| format!("v{CHECKPOINT_VERSION};{head};{tail}"))
+        .ok_or_else(|| CmmfError::Checkpoint {
+            reason: format!(
+                "version-2 fingerprint cannot be migrated (only batch_parallel_tools=true \
+                 runs have a current equivalent): {fp}"
+            ),
+        })
 }
 
-fn fmt_usizes(v: &[usize]) -> String {
-    let mut out = String::with_capacity(2 + 4 * v.len());
+/// `[a,b,…]` of the formatted items.
+fn fmt_list<T>(items: &[T], fmt: impl Fn(&T) -> String) -> String {
+    let mut out = String::with_capacity(2 + 4 * items.len());
     out.push('[');
-    for (i, x) in v.iter().enumerate() {
+    for (i, item) in items.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&x.to_string());
+        out.push_str(&fmt(item));
     }
     out.push(']');
     out
@@ -442,34 +370,44 @@ fn malformed(field: &str) -> CmmfError {
     }
 }
 
-fn pick_record(v: &JsonValue, field: &str) -> Result<PickRecord, CmmfError> {
-    let triple = v.as_array().ok_or_else(|| malformed(field))?;
-    if triple.len() != 3 {
-        return Err(malformed(field));
-    }
-    Ok(PickRecord {
-        config: triple[0].as_usize().ok_or_else(|| malformed(field))?,
-        stage_index: triple[1].as_usize().ok_or_else(|| malformed(field))?,
-        acquisition_bits: triple[2].as_u64().ok_or_else(|| malformed(field))?,
-    })
+fn array<'d>(doc: &'d JsonValue, field: &str) -> Result<&'d [JsonValue], CmmfError> {
+    doc.get(field)
+        .ok_or_else(|| missing(field))?
+        .as_array()
+        .ok_or_else(|| malformed(field))
 }
 
-fn pairs(doc: &JsonValue, field: &str) -> Result<Vec<[u64; 2]>, CmmfError> {
-    doc.get(field)
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| missing(field))?
+/// An array of exactly `N` unsigned integers.
+fn u64_row<const N: usize>(v: &JsonValue) -> Option<[u64; N]> {
+    let values: Vec<u64> = v
+        .as_array()?
+        .iter()
+        .map(JsonValue::as_u64)
+        .collect::<Option<_>>()?;
+    values.try_into().ok()
+}
+
+fn rows<const N: usize>(doc: &JsonValue, field: &str) -> Result<Vec<[u64; N]>, CmmfError> {
+    array(doc, field)?
+        .iter()
+        .map(u64_row)
+        .collect::<Option<_>>()
+        .ok_or_else(|| malformed(field))
+}
+
+fn pick_records(values: &[JsonValue], field: &str) -> Result<Vec<PickRecord>, CmmfError> {
+    values
         .iter()
         .map(|v| {
-            let pair = v.as_array().ok_or_else(|| malformed(field))?;
-            if pair.len() != 2 {
-                return Err(malformed(field));
-            }
-            Ok([
-                pair[0].as_u64().ok_or_else(|| malformed(field))?,
-                pair[1].as_u64().ok_or_else(|| malformed(field))?,
-            ])
+            let [config, stage_index, acquisition_bits] = u64_row(v)?;
+            Some(PickRecord {
+                config: usize::try_from(config).ok()?,
+                stage_index: usize::try_from(stage_index).ok()?,
+                acquisition_bits,
+            })
         })
-        .collect()
+        .collect::<Option<_>>()
+        .ok_or_else(|| malformed(field))
 }
 
 fn req_u64(doc: &JsonValue, field: &str) -> Result<u64, CmmfError> {
@@ -479,9 +417,7 @@ fn req_u64(doc: &JsonValue, field: &str) -> Result<u64, CmmfError> {
 }
 
 fn usizes(doc: &JsonValue, field: &str) -> Result<Vec<usize>, CmmfError> {
-    doc.get(field)
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| missing(field))?
+    array(doc, field)?
         .iter()
         .map(|v| v.as_usize().ok_or_else(|| malformed(field)))
         .collect()
@@ -491,34 +427,23 @@ fn usizes(doc: &JsonValue, field: &str) -> Result<Vec<usize>, CmmfError> {
 mod tests {
     use super::*;
 
+    /// A barrier-policy snapshot after two steps: one pick, then a batch of
+    /// two observed in pick order.
     fn sample() -> RunCheckpoint {
         RunCheckpoint {
             version: CHECKPOINT_VERSION,
             fingerprint: RunCheckpoint::fingerprint_of(&CmmfConfig::default()),
-            is_async: false,
             completed_steps: 2,
             init: vec![5, 9, 1, 0, 12, 3, 7, 2],
-            picks: vec![
-                vec![PickRecord {
-                    config: 42,
-                    stage_index: 1,
-                    acquisition_bits: 0.125f64.to_bits(),
-                }],
-                vec![
-                    PickRecord {
-                        config: 17,
-                        stage_index: 0,
-                        acquisition_bits: f64::MAX.to_bits(),
-                    },
-                    PickRecord {
-                        config: 18,
-                        stage_index: 2,
-                        acquisition_bits: 0,
-                    },
-                ],
+            dispatches: sample_async().dispatches,
+            schedule: vec![
+                ScheduleEvent::Dispatch(0),
+                ScheduleEvent::Complete(0),
+                ScheduleEvent::Dispatch(1),
+                ScheduleEvent::Dispatch(2),
+                ScheduleEvent::Complete(1),
+                ScheduleEvent::Complete(2),
             ],
-            dispatches: Vec::new(),
-            schedule: Vec::new(),
             in_flight: Vec::new(),
             unsampled: vec![11, 4, 6, 8, 10],
             rng_state: [u64::MAX, 1, 0x9E37_79B9_7F4A_7C15, 7],
@@ -530,16 +455,14 @@ mod tests {
         }
     }
 
-    /// A mid-overlap async snapshot: two runs dispatched and completed, one
-    /// still in flight, one pick after a pool-exhaustion event.
+    /// A mid-overlap refill snapshot: two runs dispatched and completed, one
+    /// still in flight, and a pool-exhaustion event.
     fn sample_async() -> RunCheckpoint {
         RunCheckpoint {
             version: CHECKPOINT_VERSION,
             fingerprint: RunCheckpoint::fingerprint_of(&CmmfConfig::default()),
-            is_async: true,
             completed_steps: 2,
             init: vec![5, 9, 1, 0, 12, 3, 7, 2],
-            picks: Vec::new(),
             dispatches: vec![
                 PickRecord {
                     config: 42,
@@ -605,22 +528,27 @@ mod tests {
                 "accepted {text:?}"
             );
         }
-        // Truncated pick sets are inconsistent with completed_steps.
+        // A truncated front history is inconsistent with completed_steps...
         let mut ckpt = sample();
-        ckpt.picks.pop();
+        ckpt.hv_history_bits.pop();
         assert!(RunCheckpoint::from_json(&ckpt.to_json()).is_err());
-        // A sequential checkpoint must not carry scheduler events...
-        let mut ckpt = sample();
-        ckpt.schedule.push(ScheduleEvent::Dispatch(0));
-        assert!(RunCheckpoint::from_json(&ckpt.to_json()).is_err());
-        // ...and an async one must agree on its completion count and carry no
-        // sequential picks.
+        // ...and so is an event log with fewer completions than steps.
         let mut ckpt = sample_async();
         ckpt.schedule.pop();
         assert!(RunCheckpoint::from_json(&ckpt.to_json()).is_err());
-        let mut ckpt = sample_async();
-        ckpt.picks = sample().picks;
-        assert!(RunCheckpoint::from_json(&ckpt.to_json()).is_err());
+        // A version-2 document must carry the shape its `is_async` flag
+        // names.
+        let v2 = sample_async()
+            .to_json()
+            .replace("\"version\": 3", "\"version\": 2")
+            .replace(";batch_size=1;", ";batch_size=1;batch_parallel_tools=true;")
+            .replace(
+                "\"completed_steps\"",
+                "\"is_async\": false,\n  \"picks\": [],\n  \"completed_steps\"",
+            )
+            .replacen("v3;", "v2;", 1);
+        assert!(RunCheckpoint::from_json(&v2).is_err());
+        assert!(RunCheckpoint::from_json(&v2.replace("false", "true")).is_ok());
     }
 
     #[test]

@@ -16,6 +16,12 @@ pub enum CmmfError {
     Model(gp::GpError),
     /// Design-space construction failed.
     Space(hls_model::ModelError),
+    /// The configuration combines settings that cannot run together (for
+    /// example a `batch_size > 1` barrier batch with `async_slots > 0`).
+    InvalidConfig {
+        /// Which settings conflict.
+        reason: String,
+    },
     /// An internal invariant was violated (a bug, please report).
     Internal {
         /// Description of the violated invariant.
@@ -41,6 +47,7 @@ impl fmt::Display for CmmfError {
             ),
             CmmfError::Model(e) => write!(f, "surrogate model failure: {e}"),
             CmmfError::Space(e) => write!(f, "design space failure: {e}"),
+            CmmfError::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
             CmmfError::Internal { reason } => write!(f, "internal invariant violated: {reason}"),
             CmmfError::Checkpoint { reason } => write!(f, "checkpoint failure: {reason}"),
         }

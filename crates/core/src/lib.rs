@@ -20,11 +20,14 @@
 //! * [`Optimizer`] — the Algorithm-2 loop over a pruned [`hls_model`] design
 //!   space evaluated by the [`fidelity_sim`] flow simulator, with nested
 //!   per-fidelity observation sets `X_impl ⊆ X_syn ⊆ X_hls` and the 10x
-//!   invalid-design penalty of Sec. IV-C.
-//! * [`AsyncOptimizer`] — the same loop driven by a discrete-event virtual
-//!   clock that keeps up to [`CmmfConfig::async_slots`] simulated tool runs
-//!   in flight, fantasizing pending outcomes into the acquisition (see the
-//!   [`scheduler`] module docs).
+//!   invalid-design penalty of Sec. IV-C. One event loop on a deterministic
+//!   virtual clock drives every run under one of two dispatch policies chosen
+//!   by [`CmmfConfig::async_slots`]: *barrier* (0; each step picks
+//!   [`CmmfConfig::batch_size`] runs and waits for all of them — Algorithm 2
+//!   at batch size 1) or *refill* (`k >= 1`; up to `k` simulated tool runs
+//!   stay in flight, with pending outcomes fantasized into the acquisition).
+//!   See the [`scheduler`] module docs; [`AsyncOptimizer`] is a former name
+//!   of the same type.
 //! * [`runner`] — multi-repeat experiment driver computing the paper's ADRS
 //!   metric (Eq. 11) against the simulator's true Pareto front.
 //!
@@ -59,8 +62,8 @@ pub mod scheduler;
 pub use checkpoint::{RunCheckpoint, ScheduleEvent};
 pub use error::CmmfError;
 pub use models::{FidelityDataSet, FidelityModelStack, FitMode, ModelVariant, StackFitOptions};
-pub use optimizer::{CandidateChoice, CmmfConfig, Optimizer, RunResult};
-pub use scheduler::AsyncOptimizer;
+pub use optimizer::{CandidateChoice, CmmfConfig, RunResult};
+pub use scheduler::{AsyncOptimizer, Optimizer};
 // The observability layer (see ARCHITECTURE.md, "Observability & resume") —
 // re-exported so downstream code can attach a tracer without naming the
 // `cmmf-trace` crate directly.

@@ -1,6 +1,8 @@
-//! The overall optimization flow of Algorithm 2.
+//! The configuration, result, and per-decision mechanics of Algorithm 2:
+//! fitting the surrogate, drawing and scoring a candidate pool, observing
+//! tool runs, and the final Pareto identification. *When* decisions are made
+//! and runs observed is the event loop's business ([`crate::scheduler`]).
 
-use crate::checkpoint::{PickRecord, RunCheckpoint, CHECKPOINT_VERSION};
 use crate::eipv::{eipv_correlated_mc_seeded, peipv, EipvScorer};
 use crate::models::{
     FidelityDataSet, FidelityModelStack, FitMode, ModelVariant, StackFitOptions, N_OBJECTIVES,
@@ -16,7 +18,6 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rayon::prelude::*;
-use std::path::Path;
 use trace::{Stopwatch, TraceEvent, TracerHandle};
 
 /// Configuration of the Algorithm-2 loop. Defaults follow Sec. V-B: 8 initial
@@ -46,12 +47,11 @@ pub struct CmmfConfig {
     /// Monte-Carlo samples per EIPV evaluation.
     pub mc_samples: usize,
     /// Number of configurations selected and run per optimization step
-    /// (greedy q-EIPV with fantasized outcomes). 1 reproduces Algorithm 2;
-    /// q > 1 models q parallel FPGA-tool instances.
+    /// under the barrier dispatch policy (`async_slots == 0`; greedy q-EIPV
+    /// with fantasized outcomes). 1 reproduces Algorithm 2; q > 1 models q
+    /// parallel FPGA-tool licenses, so a step costs its *longest* run on the
+    /// virtual clock. Must stay 1 when `async_slots > 0`.
     pub batch_size: usize,
-    /// When batching, account the step's simulated time as the *maximum*
-    /// member cost (parallel tool licenses) instead of the sum.
-    pub batch_parallel_tools: bool,
     /// After the BO loop, predict the implementation-level objectives over a
     /// random subsample of this many un-evaluated configurations with the
     /// final surrogate and add the *predicted*-Pareto configurations to the
@@ -88,11 +88,14 @@ pub struct CmmfConfig {
     /// configs, stages) identical; acquisition values may differ in the last
     /// bits (see `indexed_eipv_matches_naive_path`).
     pub indexed_eipv: bool,
-    /// Simulated tool runs kept in flight by the asynchronous scheduler
-    /// ([`crate::AsyncOptimizer`]); 0 behaves like 1 (fully serialized
-    /// dispatch). The sequential [`Optimizer`] ignores this field, but it is
-    /// fingerprinted: an async schedule depends on it, so a checkpoint cannot
-    /// silently resume under a different slot count.
+    /// The dispatch policy of the event loop ([`crate::scheduler`]). 0 is the
+    /// *barrier* policy: each step picks `batch_size` runs and waits for all
+    /// of them. `k >= 1` is the *refill* policy: up to `k` simulated tool
+    /// runs stay in flight, and each completion frees a slot for a new
+    /// single-pick decision. `k = 1` and the barrier policy at
+    /// `batch_size = 1` give bit-identical results (both fully serialize the
+    /// flow), but the field is fingerprinted, so a checkpoint cannot resume
+    /// under a different value.
     pub async_slots: usize,
     /// Worker threads for the parallel hot paths (candidate scoring, EIPV
     /// Monte-Carlo sampling, kernel-matrix assembly, batch prediction);
@@ -162,7 +165,6 @@ impl Default for CmmfConfig {
             candidate_pool: 200,
             mc_samples: 24,
             batch_size: 1,
-            batch_parallel_tools: true,
             final_prediction_pool: 4000,
             escalate_threshold: 0.05,
             refit_every: 5,
@@ -200,23 +202,26 @@ pub struct CandidateChoice {
 #[derive(Debug, Clone)]
 pub struct RunResult {
     /// The candidate Pareto set `CS`: every configuration sampled during the
-    /// iterations, with the fidelity it was run to.
+    /// iterations, with the fidelity it was run to, in dispatch order.
     pub candidate_set: Vec<CandidateChoice>,
     /// All configurations the run evaluated (initialization + iterations).
     pub evaluated_configs: Vec<usize>,
     /// Ground-truth (post-implementation) objective vectors of the valid
     /// evaluated configurations that form the learned Pareto front.
     pub measured_pareto: Vec<[f64; N_OBJECTIVES]>,
-    /// Total simulated tool time in seconds (Table I's "overall running
-    /// time"), covering initialization and every iteration's flow run.
+    /// Simulated tool time in seconds (Table I's "overall running time"),
+    /// covering initialization and every iteration's flow run: the
+    /// virtual-clock makespan, which is the plain sum of the run times when
+    /// the flow is fully serialized.
     pub sim_seconds: f64,
     /// Learned objective correlations at each fidelity, when the variant is
     /// correlated (diagnostics for Sec. IV-B's claims).
     pub objective_correlations: Option<Vec<linalg::Matrix>>,
-    /// Convergence trace: after each optimization step, the Pareto
-    /// hypervolume of the *observed* front at each fidelity (normalized
-    /// objective units, reference `[2.5; 3]`). Monotone non-decreasing per
-    /// fidelity; useful for plotting and for early-stopping policies.
+    /// Convergence trace: after each optimization step (completion, under
+    /// the refill policy), the Pareto hypervolume of the *observed* front at
+    /// each fidelity (normalized objective units, reference `[2.5; 3]`).
+    /// Monotone non-decreasing per fidelity; useful for plotting and for
+    /// early-stopping policies.
     pub hv_history: Vec<[f64; 3]>,
 }
 
@@ -229,79 +234,56 @@ pub(crate) enum Observation {
     Invalid,
 }
 
-/// The Algorithm-2 Bayesian optimizer.
-#[derive(Debug, Clone)]
-pub struct Optimizer {
-    cfg: CmmfConfig,
-}
-
-/// The live state of one Algorithm-2 run: everything [`LoopState::run_step`]
-/// reads and writes, separated from [`Optimizer`] so a run can be snapshotted
-/// ([`LoopState::checkpoint`]) and reconstructed ([`LoopState::restore`]) at
-/// any step boundary. The asynchronous scheduler (`crate::scheduler`) embeds
-/// a `LoopState` too and drives it through the pub(crate) helpers below, so
-/// both loops share one implementation of fitting, scoring, and observation
-/// bookkeeping.
+/// The observations, surrogate, and RNG of one Algorithm-2 run: everything a
+/// dispatch decision reads and writes. The event loop
+/// (`crate::scheduler`) owns one and adds the virtual clock on top.
 pub(crate) struct LoopState<'a> {
     pub(crate) cfg: &'a CmmfConfig,
     pub(crate) space: &'a DesignSpace,
     pub(crate) sim: &'a FlowSimulator,
     pub(crate) rng: StdRng,
     /// Not-yet-sampled configuration indices, in shuffled order (the tail is
-    /// each step's candidate pool).
+    /// each decision's candidate pool).
     pub(crate) unsampled: Vec<usize>,
-    /// The initialization draw, in observation order.
+    /// The initialization draw, in rank order.
     pub(crate) init: Vec<usize>,
     /// Observations per fidelity: (config, outcome).
-    pub(crate) obs: [Vec<(usize, Observation)>; 3],
-    pub(crate) sim_seconds: f64,
+    obs: [Vec<(usize, Observation)>; 3],
     pub(crate) candidate_set: Vec<CandidateChoice>,
-    /// Per completed step, the picks as checkpoint records (mirrors
-    /// `candidate_set`, partitioned by step — batches can end early, so the
-    /// partition is not implied by `batch_size`). Unused by the asynchronous
-    /// scheduler, which records dispatch-ordered picks instead.
-    pub(crate) picks: Vec<Vec<PickRecord>>,
-    pub(crate) stack: Option<FidelityModelStack>,
+    stack: Option<FidelityModelStack>,
     /// Run-scoped buffer arena threaded through every surrogate fit and
     /// batch prediction (disabled pass-through when `cfg.arena` is off).
-    pub(crate) ws: Workspace,
+    ws: Workspace,
     pub(crate) hv_history: Vec<[f64; 3]>,
-    /// Steps completed so far (the next step index to run).
-    pub(crate) steps_done: usize,
-    /// True while [`LoopState::restore`] replays checkpointed decisions:
-    /// suppresses `ToolRun` events (the runs already happened) and leaves
-    /// `sim_seconds` to the checkpointed value.
+    /// True while a resume replays checkpointed decisions: suppresses the
+    /// events of work that already happened (tool runs, dispatches and
+    /// completions, model fits).
     pub(crate) replaying: bool,
 }
 
-/// A step's candidate pool with its per-(candidate, fidelity) posterior
-/// caches, shared across batch slots (sequential loop) or read once per
-/// dispatch (async scheduler).
-/// Per-fidelity Pareto fronts of the normalized observations: `fronts[f]` is
-/// the front at fidelity `f`, each point one `N_OBJECTIVES`-vector.
-pub(crate) type FidelityFronts = Vec<Vec<Vec<f64>>>;
-
-pub(crate) struct CandidatePrep {
+/// A decision's candidate pool with its per-(candidate, fidelity) posterior
+/// caches, shared across the decision's batch slots.
+struct CandidatePrep {
     /// Candidate configuration indices, in pool order (the argmax tie-break
     /// order).
-    pub(crate) pool: Vec<usize>,
+    pool: Vec<usize>,
     /// Posterior prediction per candidate and fidelity.
-    pub(crate) preds: Vec<Vec<MultiTaskPrediction>>,
+    preds: Vec<Vec<MultiTaskPrediction>>,
     /// Predictive-covariance Cholesky factors (indexed scorer path only).
-    pub(crate) chols: Vec<Vec<Option<Cholesky>>>,
+    chols: Vec<Vec<Option<Cholesky>>>,
 }
 
 /// One acquisition argmax outcome of [`LoopState::select_pick`].
-pub(crate) struct SelectedPick {
+struct SelectedPick {
     /// The winning (config, stage, penalized-acquisition) choice, after the
     /// fidelity-escalation guard.
-    pub(crate) choice: CandidateChoice,
+    choice: CandidateChoice,
     /// The winner's raw EIPV (before the Eq. 10 penalty).
-    pub(crate) raw_eipv: f64,
+    raw_eipv: f64,
     /// The winner's index into the pool (and the prep caches).
-    pub(crate) pool_idx: usize,
+    pool_idx: usize,
     /// Candidates scored (pool minus exclusions).
-    pub(crate) n_scored: usize,
+    n_scored: usize,
 }
 
 impl<'a> LoopState<'a> {
@@ -319,16 +301,16 @@ impl<'a> LoopState<'a> {
                 reason: "initialization sizes must be nested and non-zero".into(),
             });
         }
-        Ok(())
-    }
-
-    /// The run's buffer arena per [`CmmfConfig::arena`].
-    pub(crate) fn workspace_for(cfg: &CmmfConfig) -> Workspace {
-        if cfg.arena {
-            Workspace::new()
-        } else {
-            Workspace::disabled()
+        if cfg.async_slots > 0 && cfg.batch_size > 1 {
+            return Err(CmmfError::InvalidConfig {
+                reason: format!(
+                    "batch_size {} applies only to the barrier policy (async_slots = 0), \
+                     but async_slots is {}",
+                    cfg.batch_size, cfg.async_slots
+                ),
+            });
         }
+        Ok(())
     }
 
     /// The top stage of the `rank`-th initialization configuration (the first
@@ -343,11 +325,40 @@ impl<'a> LoopState<'a> {
         }
     }
 
-    /// A validated, seeded state with the initialization set *drawn but not
-    /// observed* — the shared front half of [`LoopState::start`] and the
-    /// asynchronous scheduler's start, which interleave the initialization
-    /// runs differently (all-at-once here, through `k` slots there).
-    pub(crate) fn fresh_shell(
+    /// A state with nothing observed yet, at the given RNG position and
+    /// sampling order.
+    pub(crate) fn new(
+        cfg: &'a CmmfConfig,
+        space: &'a DesignSpace,
+        sim: &'a FlowSimulator,
+        rng: StdRng,
+        unsampled: Vec<usize>,
+        init: Vec<usize>,
+    ) -> Self {
+        LoopState {
+            cfg,
+            space,
+            sim,
+            rng,
+            unsampled,
+            init,
+            obs: Default::default(),
+            candidate_set: Vec::with_capacity(cfg.n_iter),
+            stack: None,
+            ws: if cfg.arena {
+                Workspace::new()
+            } else {
+                Workspace::disabled()
+            },
+            hv_history: Vec::with_capacity(cfg.n_iter),
+            replaying: false,
+        }
+    }
+
+    /// A validated, seeded state with the initialization set (Algorithm 2,
+    /// lines 3-5) *drawn but not observed*: the event loop pushes it through
+    /// its slots.
+    pub(crate) fn fresh(
         cfg: &'a CmmfConfig,
         space: &'a DesignSpace,
         sim: &'a FlowSimulator,
@@ -362,270 +373,68 @@ impl<'a> LoopState<'a> {
         let mut unsampled: Vec<usize> = (0..space.len()).collect();
         unsampled.shuffle(&mut rng);
         let init: Vec<usize> = unsampled.split_off(unsampled.len() - cfg.n_init);
-        Ok(LoopState {
-            cfg,
-            space,
-            sim,
-            rng,
-            unsampled,
-            init,
-            obs: Default::default(),
-            sim_seconds: 0.0,
-            candidate_set: Vec::with_capacity(cfg.n_iter),
-            picks: Vec::with_capacity(cfg.n_iter),
-            stack: None,
-            ws: Self::workspace_for(cfg),
-            hv_history: Vec::with_capacity(cfg.n_iter),
-            steps_done: 0,
-            replaying: false,
-        })
+        Ok(Self::new(cfg, space, sim, rng, unsampled, init))
     }
 
-    /// Fresh state: draws and observes the initialization set
-    /// (Algorithm 2, lines 3-5).
-    fn start(
-        cfg: &'a CmmfConfig,
-        space: &'a DesignSpace,
-        sim: &'a FlowSimulator,
-    ) -> Result<Self, CmmfError> {
-        let mut state = Self::fresh_shell(cfg, space, sim)?;
-        for rank in 0..state.init.len() {
-            let c = state.init[rank];
-            let secs = state.observe(c, Self::init_top_stage(cfg, rank), None);
-            state.sim_seconds += secs;
-        }
-        Ok(state)
-    }
-
-    /// Version and fingerprint gate shared by the sequential and asynchronous
-    /// resume paths.
-    pub(crate) fn check_compat(cfg: &CmmfConfig, ckpt: &RunCheckpoint) -> Result<(), CmmfError> {
-        if ckpt.version != CHECKPOINT_VERSION {
-            return Err(CmmfError::Checkpoint {
-                reason: format!(
-                    "checkpoint version {} is not the supported {CHECKPOINT_VERSION}",
-                    ckpt.version
-                ),
-            });
-        }
-        let expected = RunCheckpoint::fingerprint_of(cfg);
-        if ckpt.fingerprint != expected {
-            return Err(CmmfError::Checkpoint {
-                reason: format!(
-                    "configuration mismatch: checkpoint was written under\n  {}\nbut this run is\n  {}",
-                    ckpt.fingerprint, expected
-                ),
-            });
-        }
-        Ok(())
-    }
-
-    /// Reconstructs the state a checkpoint describes, bit-identically to the
-    /// run that wrote it: restores the recorded decisions (initialization,
-    /// picks, candidate order, RNG position) and *replays* the derived state
-    /// — observations through the deterministic simulator, and the surrogate
-    /// stack by re-fitting from the last hyperparameter-optimization step
-    /// (at most `refit_every − 1` cheap refits plus one full fit; GP fits
-    /// seed their own RNG per call, so the replayed chain is exact).
+    /// One dispatch decision (Algorithm 2, lines 6-11): fits the surrogate on
+    /// everything observed so far, fantasizes the `pending` runs' posterior
+    /// means into the per-fidelity fronts, and picks up to `picks`
+    /// (candidate, fidelity) pairs from one fresh candidate pool by greedy
+    /// q-EIPV, each later pick scored against the fronts augmented with the
+    /// earlier picks' fantasized outcomes. The picks join the candidate set
+    /// and leave the sampling pool. Returns `None`, with the new surrogate
+    /// installed, when the pool is exhausted.
     ///
-    /// The checkpoint must come from a run with this configuration on this
-    /// same design space and simulator; the fingerprint pins the former, and
-    /// out-of-range configuration indices catch gross mismatches of the
-    /// latter.
-    fn restore(
-        cfg: &'a CmmfConfig,
-        space: &'a DesignSpace,
-        sim: &'a FlowSimulator,
-        ckpt: &RunCheckpoint,
-    ) -> Result<Self, CmmfError> {
-        Self::validate(cfg, space)?;
-        Self::check_compat(cfg, ckpt)?;
-        if ckpt.is_async {
-            return Err(CmmfError::Checkpoint {
-                reason: "checkpoint was written by the asynchronous scheduler; \
-                         resume it with AsyncOptimizer"
-                    .into(),
-            });
-        }
-        let completed = ckpt.completed_steps;
-        if ckpt.init.len() != cfg.n_init
-            || completed > cfg.n_iter
-            || ckpt.picks.len() != completed
-            || ckpt.hv_history_bits.len() != completed
-        {
-            return Err(CmmfError::Checkpoint {
-                reason: "inconsistent checkpoint shape".into(),
-            });
-        }
-        cfg.tracer.emit(|| TraceEvent::RunStarted {
-            seed: cfg.seed,
-            n_iter: cfg.n_iter,
-            resumed_at: Some(completed),
-        });
-        let in_range = |c: usize| c < space.len();
-        if !ckpt.init.iter().all(|&c| in_range(c))
-            || !ckpt.unsampled.iter().all(|&c| in_range(c))
-            || !ckpt.picks.iter().flatten().all(|p| in_range(p.config))
-        {
-            return Err(CmmfError::Checkpoint {
-                reason: "configuration index out of range — was this checkpoint \
-                         written for a different design space?"
-                    .into(),
-            });
-        }
-        let mut state = LoopState {
-            cfg,
-            space,
-            sim,
-            rng: StdRng::from_state(ckpt.rng_state),
-            unsampled: ckpt.unsampled.clone(),
-            init: ckpt.init.clone(),
-            obs: Default::default(),
-            sim_seconds: f64::from_bits(ckpt.sim_seconds_bits),
-            candidate_set: Vec::with_capacity(cfg.n_iter),
-            picks: ckpt.picks.clone(),
-            stack: None,
-            ws: Self::workspace_for(cfg),
-            hv_history: ckpt
-                .hv_history_bits
-                .iter()
-                .map(|hv| [0, 1, 2].map(|d| f64::from_bits(hv[d])))
-                .collect(),
-            steps_done: completed,
-            replaying: true,
-        };
-        for (rank, &c) in ckpt.init.iter().enumerate() {
-            state.observe(c, Self::init_top_stage(cfg, rank), None);
-        }
-        // Replay the completed steps. Observations replay in full (they feed
-        // every later fit); surrogate fits replay only from the last
-        // `FitMode::Optimize` step, whose fit does not depend on the previous
-        // stack — the cheap refits after it chain off its caches exactly as
-        // the interrupted run's did. With `warm_start_hyperopt` the Optimize
-        // fits themselves chain (each seeds from the previous fitted
-        // optimum), so the whole fit history must replay from step 0 to
-        // reproduce the interrupted run bit-for-bit.
-        let refit_from = if completed == 0 || cfg.warm_start_hyperopt {
-            0
-        } else {
-            ((completed - 1) / cfg.refit_every.max(1)) * cfg.refit_every.max(1)
-        };
-        for (t, step_picks) in ckpt.picks.iter().enumerate() {
-            if t >= refit_from {
-                let (data, _, _) = state.training_data();
-                let mode = if t.is_multiple_of(cfg.refit_every) {
-                    FitMode::Optimize
-                } else if cfg.incremental {
-                    FitMode::Extend
-                } else {
-                    FitMode::Refit
-                };
-                state.stack = Some(FidelityModelStack::fit_with(
-                    cfg.variant,
-                    &data,
-                    &cfg.gp,
-                    &StackFitOptions {
-                        previous: state.stack.as_ref(),
-                        mode,
-                        warm_start: cfg.warm_start_hyperopt,
-                        mixed_precision: cfg.mixed_precision,
-                    },
-                    &state.ws,
-                )?);
-            }
-            for p in step_picks {
-                let stage =
-                    Stage::from_index(p.stage_index).ok_or_else(|| CmmfError::Checkpoint {
-                        reason: format!("invalid stage index {} in step {t}", p.stage_index),
-                    })?;
-                state.observe(p.config, stage, None);
-                state.candidate_set.push(CandidateChoice {
-                    config: p.config,
-                    stage,
-                    acquisition: f64::from_bits(p.acquisition_bits),
-                });
-            }
-        }
-        state.replaying = false;
-        Ok(state)
-    }
-
-    /// Snapshots the run after the last completed step.
-    fn checkpoint(&self) -> RunCheckpoint {
-        RunCheckpoint {
-            version: CHECKPOINT_VERSION,
-            fingerprint: RunCheckpoint::fingerprint_of(self.cfg),
-            completed_steps: self.steps_done,
-            init: self.init.clone(),
-            picks: self.picks.clone(),
-            is_async: false,
-            dispatches: Vec::new(),
-            schedule: Vec::new(),
-            in_flight: Vec::new(),
-            unsampled: self.unsampled.clone(),
-            rng_state: self.rng.state(),
-            sim_seconds_bits: self.sim_seconds.to_bits(),
-            hv_history_bits: self
-                .hv_history
-                .iter()
-                .map(|hv| [0, 1, 2].map(|d| hv[d].to_bits()))
-                .collect(),
-        }
-    }
-
-    /// One optimization step (Algorithm 2, lines 6-15). Returns `false` when
-    /// the loop should stop early (candidate pool exhausted).
-    fn run_step(&mut self, t: usize) -> Result<bool, CmmfError> {
+    /// The argmax fans out over the pool. Each (candidate, fidelity) pair
+    /// draws its Monte-Carlo samples from its own RNG stream — seeded from
+    /// (master seed, decision `t`, pick slot, config, fidelity) — and the
+    /// winner is chosen by a serial first-max scan in pool order, so the
+    /// selection is independent of thread count and scheduling.
+    pub(crate) fn decide(
+        &mut self,
+        t: usize,
+        pending: &[(usize, Stage)],
+        picks: usize,
+    ) -> Result<Option<Vec<CandidateChoice>>, CmmfError> {
         let cfg = self.cfg;
         let tracer = &cfg.tracer;
         tracer.emit(|| TraceEvent::StepStarted {
             step: t,
             observed: [self.obs[0].len(), self.obs[1].len(), self.obs[2].len()],
         });
-
-        // Materialize training data, fit the surrogate stack, and take the
-        // per-fidelity observed fronts.
-        let (new_stack, fronts) = self.fit_step_stack(t)?;
+        let (new_stack, mut fantasy) = {
+            let data = self.training_data();
+            let stack = self.fit(t, &data)?;
+            let fronts: Vec<Vec<Vec<f64>>> = (0..3).map(|f| pareto_front(&data.ys[f])).collect();
+            (stack, fronts)
+        };
         let reference = vec![2.5; N_OBJECTIVES]; // dominates the 2.0 penalty
 
-        // Candidate pool with its per-(candidate, fidelity) posterior caches.
+        // Fantasy fronts: the observed fronts augmented with the pending
+        // runs' posterior means under the new stack, in dispatch order.
+        for &(config, stage) in pending {
+            let fi = stage.index();
+            let x = self.space.encode(config);
+            let mean = new_stack.predict_in(fi, &x, &self.ws)?.mean;
+            fantasy[fi] = merge_into_front(&fantasy[fi], mean);
+        }
+
         let Some(prep) = self.prepare_candidates(&new_stack)? else {
             self.stack = Some(new_stack);
-            return Ok(false);
+            return Ok(None);
         };
-
-        // Acquisition scorers, one per fidelity: the fantasy front's
-        // cell decomposition is built once *outside* the per-candidate
-        // fan-out below and shared by every candidate and MC draw.
-        // Rebuilt only when a fantasy update actually changes the front.
-        let mut scorers = Self::build_scorers(cfg, &fronts, &reference);
-
-        // Select a batch of `batch_size` (candidate, fidelity) pairs
-        // (lines 7-11; batch > 1 models parallel tool instances). The
-        // first pick is the plain PEIPV argmax; subsequent picks maximize
-        // EIPV against fronts augmented with the *fantasized* (posterior
-        // mean) outcomes of the earlier picks — greedy q-EIPV.
-        //
-        // The argmax fans out over the candidate pool. Each (candidate,
-        // fidelity) pair draws its Monte-Carlo samples from its own RNG
-        // stream — seeded from (master seed, step, batch slot, config,
-        // fidelity) — and the winner is chosen by a serial first-max scan
-        // in pool order, so the selection is independent of thread count
-        // and scheduling.
+        // Acquisition scorers, one per fidelity: the fantasy front's cell
+        // decomposition is built once *outside* the per-candidate fan-out and
+        // shared by every candidate and MC draw; rebuilt only when a pick's
+        // fantasy actually changes the front.
+        let mut scorers = Self::build_scorers(cfg, &fantasy, &reference);
         let step_seed = derive_stream_seed(cfg.seed, &[t as u64]);
-        let mut fantasy_fronts = fronts.clone();
-        let mut picked: Vec<CandidateChoice> = Vec::with_capacity(cfg.batch_size.max(1));
-        for q in 0..cfg.batch_size.max(1) {
+        let mut picked: Vec<CandidateChoice> = Vec::with_capacity(picks);
+        for q in 0..picks {
             let slot_started = tracer.enabled().then(Stopwatch::start);
             let q_seed = derive_stream_seed(step_seed, &[q as u64]);
-            let Some(sel) = self.select_pick(
-                &prep,
-                &scorers,
-                &fantasy_fronts,
-                &reference,
-                q_seed,
-                &picked,
-            )?
+            let Some(sel) =
+                self.select_pick(&prep, &scorers, &fantasy, &reference, q_seed, &picked)?
             else {
                 break;
             };
@@ -640,85 +449,61 @@ impl<'a> LoopState<'a> {
                 penalized: choice.acquisition,
                 seconds: slot_started.map_or(0.0, |s| s.seconds()),
             });
-
-            // Fantasize the outcome at the chosen fidelity so the next
-            // batch member seeks improvement elsewhere.
-            let fi = choice.stage.index();
-            let pred = &prep.preds[sel.pool_idx][fi];
-            let new_front = pareto_front(
-                &fantasy_fronts[fi]
-                    .iter()
-                    .cloned()
-                    .chain(std::iter::once(pred.mean.clone()))
-                    .collect::<Vec<_>>(),
-            );
-            // Rebuild this fidelity's scorer only when the fantasized
-            // outcome actually changed the front (a dominated fantasy
-            // leaves it untouched) and another batch slot will read it.
-            if new_front != fantasy_fronts[fi] {
-                if scorers[fi].is_some() && q + 1 < cfg.batch_size.max(1) {
-                    scorers[fi] = Some(EipvScorer::new(&new_front, &reference));
-                }
-                fantasy_fronts[fi] = new_front;
-            }
             picked.push(choice);
+            if q + 1 < picks {
+                // Fantasize the outcome at the chosen fidelity so the next
+                // pick seeks improvement elsewhere.
+                let fi = choice.stage.index();
+                let new_front =
+                    merge_into_front(&fantasy[fi], prep.preds[sel.pool_idx][fi].mean.clone());
+                if new_front != fantasy[fi] {
+                    if scorers[fi].is_some() {
+                        scorers[fi] = Some(EipvScorer::new(&new_front, &reference));
+                    }
+                    fantasy[fi] = new_front;
+                }
+            }
         }
         if picked.is_empty() {
             return Err(CmmfError::Internal {
                 reason: "no candidate scored".into(),
             });
         }
-
-        // Run the flow for every batch member (lines 12-14). With batch
-        // size q > 1 and q parallel tool licenses, the wall-clock cost of
-        // the step is the *maximum* stage time, not the sum.
-        let mut batch_seconds = 0.0f64;
         for choice in &picked {
-            let secs = self.observe(choice.config, choice.stage, Some(t));
-            batch_seconds = if cfg.batch_parallel_tools {
-                batch_seconds.max(secs)
-            } else {
-                batch_seconds + secs
-            };
             self.unsampled.retain(|&c| c != choice.config);
-            self.candidate_set.push(*choice);
         }
-        self.picks.push(
-            picked
-                .iter()
-                .map(|c| PickRecord {
-                    config: c.config,
-                    stage_index: c.stage.index(),
-                    acquisition_bits: c.acquisition.to_bits(),
-                })
-                .collect(),
-        );
-        self.sim_seconds += batch_seconds;
+        self.candidate_set.extend_from_slice(&picked);
         self.stack = Some(new_stack);
-
-        self.record_front(t);
-        self.steps_done = t + 1;
-        Ok(true)
+        Ok(Some(picked))
     }
 
-    /// The step's surrogate refresh: materializes normalized training data,
-    /// fits the stack under the `refit_every` schedule, emits `ModelFit`, and
-    /// returns the new stack with the per-fidelity Pareto fronts of the
-    /// normalized observations. Does *not* install the stack — callers decide
-    /// when (the sequential loop after its observations, the async scheduler
-    /// at dispatch time).
-    pub(crate) fn fit_step_stack(
-        &mut self,
-        t: usize,
-    ) -> Result<(FidelityModelStack, FidelityFronts), CmmfError> {
+    /// Re-fits the surrogate of decision `t` during a resume replay, exactly
+    /// as the interrupted run's decision did.
+    pub(crate) fn replay_fit(&mut self, t: usize) -> Result<(), CmmfError> {
+        let data = self.training_data();
+        self.stack = Some(self.fit(t, &data)?);
+        Ok(())
+    }
+
+    /// Fits the surrogate stack on `data` under the `refit_every` schedule —
+    /// a full hyperparameter re-optimization on multiples of `refit_every`,
+    /// cheap hyperparameter-reusing refits (incremental when configured) in
+    /// between — and emits `ModelFit` unless replaying. Does *not* install
+    /// the stack.
+    fn fit(&self, t: usize, data: &FidelityDataSet) -> Result<FidelityModelStack, CmmfError> {
         let cfg = self.cfg;
         let tracer = &cfg.tracer;
-        let (data, _, _) = self.training_data();
-        let mode = Self::fit_mode(cfg, t);
+        let mode = if t.is_multiple_of(cfg.refit_every) {
+            FitMode::Optimize
+        } else if cfg.incremental {
+            FitMode::Extend
+        } else {
+            FitMode::Refit
+        };
         let fit_started = tracer.enabled().then(Stopwatch::start);
-        let new_stack = FidelityModelStack::fit_with(
+        let stack = FidelityModelStack::fit_with(
             cfg.variant,
-            &data,
+            data,
             &cfg.gp,
             &StackFitOptions {
                 previous: self.stack.as_ref(),
@@ -728,42 +513,29 @@ impl<'a> LoopState<'a> {
             },
             &self.ws,
         )?;
-        tracer.emit(|| {
-            let stats = new_stack.fit_stats();
-            TraceEvent::ModelFit {
-                step: t,
-                fit_mode: mode.name(),
-                seconds: fit_started.map_or(0.0, |s| s.seconds()),
-                nll_evals: stats.nll_evals,
-                restarts_run: stats.restarts_run,
-                warm_start_hits: stats.warm_start_hits,
-                warm_start_misses: stats.warm_start_misses,
-            }
-        });
-        let fronts: Vec<Vec<Vec<f64>>> = (0..3).map(|f| pareto_front(&data.ys[f])).collect();
-        Ok((new_stack, fronts))
-    }
-
-    /// The `refit_every` schedule: a full hyperparameter re-optimization on
-    /// multiples of `refit_every`, cheap hyperparameter-reusing refits
-    /// (incremental when configured) in between.
-    pub(crate) fn fit_mode(cfg: &CmmfConfig, t: usize) -> FitMode {
-        if t.is_multiple_of(cfg.refit_every) {
-            FitMode::Optimize
-        } else if cfg.incremental {
-            FitMode::Extend
-        } else {
-            FitMode::Refit
+        if !self.replaying {
+            tracer.emit(|| {
+                let stats = stack.fit_stats();
+                TraceEvent::ModelFit {
+                    step: t,
+                    fit_mode: mode.name(),
+                    seconds: fit_started.map_or(0.0, |s| s.seconds()),
+                    nll_evals: stats.nll_evals,
+                    restarts_run: stats.restarts_run,
+                    warm_start_hits: stats.warm_start_hits,
+                    warm_start_misses: stats.warm_start_misses,
+                }
+            });
         }
+        Ok(stack)
     }
 
-    /// Draws the step's candidate pool (one RNG shuffle — both loops consume
-    /// exactly one per dispatch decision) and precomputes the per-(candidate,
-    /// fidelity) posterior caches shared by every scoring slot. Returns
-    /// `None` when the pool is empty (space exhausted). Ordered parallel
-    /// collects keep the values bit-identical to the serial path for any
-    /// thread count.
-    pub(crate) fn prepare_candidates(
+    /// Draws the decision's candidate pool (exactly one RNG shuffle per
+    /// decision) and precomputes the per-(candidate, fidelity) posterior
+    /// caches shared by every scoring slot. Returns `None` when the pool is
+    /// empty (space exhausted). Ordered parallel collects keep the values
+    /// bit-identical to the serial path for any thread count.
+    fn prepare_candidates(
         &mut self,
         stack: &FidelityModelStack,
     ) -> Result<Option<CandidatePrep>, CmmfError> {
@@ -816,7 +588,7 @@ impl<'a> LoopState<'a> {
 
     /// Cell-indexed acquisition scorers per fidelity (or `None`s on the naive
     /// path), decomposing each front once for all candidates and MC draws.
-    pub(crate) fn build_scorers(
+    fn build_scorers(
         cfg: &CmmfConfig,
         fronts: &[Vec<Vec<f64>>],
         reference: &[f64],
@@ -837,7 +609,7 @@ impl<'a> LoopState<'a> {
     /// first-max scan in pool order (thread-count independent), and applies
     /// the fidelity-escalation guard. Returns `None` when nothing scored
     /// (every pool member excluded).
-    pub(crate) fn select_pick(
+    fn select_pick(
         &self,
         prep: &CandidatePrep,
         scorers: &[Option<EipvScorer>],
@@ -956,7 +728,7 @@ impl<'a> LoopState<'a> {
     /// Convergence trace: hypervolume of each fidelity's observed front,
     /// appended to the history and emitted as `FrontUpdated` for `step`.
     pub(crate) fn record_front(&mut self, step: usize) {
-        let (data_after, _, _) = self.training_data();
+        let data_after = self.training_data();
         let mut hv = [0.0f64; 3];
         let mut front_sizes = [0usize; 3];
         for (f, h) in hv.iter_mut().enumerate() {
@@ -972,8 +744,9 @@ impl<'a> LoopState<'a> {
         });
     }
 
-    /// Final Pareto identification (after the loop).
-    pub(crate) fn finish(mut self) -> Result<RunResult, CmmfError> {
+    /// Final Pareto identification (after the loop), given the completed
+    /// step count and the virtual-clock makespan.
+    pub(crate) fn finish(mut self, steps: usize, sim_seconds: f64) -> Result<RunResult, CmmfError> {
         let cfg = self.cfg;
         let space = self.space;
         let sim = self.sim;
@@ -1035,15 +808,15 @@ impl<'a> LoopState<'a> {
         });
 
         cfg.tracer.emit(|| TraceEvent::RunFinished {
-            steps: self.steps_done,
-            sim_seconds: self.sim_seconds,
+            steps,
+            sim_seconds,
             pareto_points: measured_pareto.len(),
         });
         Ok(RunResult {
             candidate_set: self.candidate_set,
             evaluated_configs: evaluated,
             measured_pareto,
-            sim_seconds: self.sim_seconds,
+            sim_seconds,
             objective_correlations,
             hv_history: self.hv_history,
         })
@@ -1051,9 +824,9 @@ impl<'a> LoopState<'a> {
 
     /// Runs the flow for `config` up to `top_stage`, recording one observation
     /// per traversed fidelity (the flow produces lower-stage reports on its
-    /// way up, Fig. 2). Returns the simulated seconds consumed. `step` labels
-    /// the emitted `ToolRun` events (`None` during initialization).
-    pub(crate) fn observe(&mut self, config: usize, top_stage: Stage, step: Option<usize>) -> f64 {
+    /// way up, Fig. 2). `step` labels the emitted `ToolRun` events (`None`
+    /// during initialization).
+    pub(crate) fn observe(&mut self, config: usize, top_stage: Stage, step: Option<usize>) {
         let cfg = self.cfg;
         let trace_runs = cfg.tracer.enabled() && !self.replaying;
         for stage in Stage::all() {
@@ -1078,7 +851,6 @@ impl<'a> LoopState<'a> {
             }
             self.obs[stage.index()].push((config, o));
         }
-        self.sim.stage_seconds(self.space, config, top_stage)
     }
 
     /// Builds normalized per-fidelity training data. Valid observations are
@@ -1086,9 +858,7 @@ impl<'a> LoopState<'a> {
     /// designs are materialized at 2.0 — far beyond the worst valid value
     /// (the paper's "10x worse than the current worst" in spirit, clamped so
     /// the GP stays well-conditioned).
-    pub(crate) fn training_data(
-        &self,
-    ) -> (FidelityDataSet, [f64; N_OBJECTIVES], [f64; N_OBJECTIVES]) {
+    fn training_data(&self) -> FidelityDataSet {
         let mut mins = [f64::INFINITY; N_OBJECTIVES];
         let mut maxs = [f64::NEG_INFINITY; N_OBJECTIVES];
         for fid in &self.obs {
@@ -1121,209 +891,25 @@ impl<'a> LoopState<'a> {
                 });
             }
         }
-        (data, mins, spans)
+        data
     }
 }
 
-impl Optimizer {
-    /// Creates an optimizer with the given configuration.
-    pub fn new(cfg: CmmfConfig) -> Self {
-        Optimizer { cfg }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &CmmfConfig {
-        &self.cfg
-    }
-
-    /// Runs Algorithm 2 on `space`, evaluating configurations with `sim`.
-    ///
-    /// The run executes on a thread pool of [`CmmfConfig::threads`] workers
-    /// (0 = all hardware threads); the result is bit-identical for any
-    /// thread count.
-    ///
-    /// # Examples
-    ///
-    /// The quickstart flow — build a benchmark's pruned directive space, wrap
-    /// the three-stage flow simulator, and optimize (shrunk here so the
-    /// doctest stays fast; see `examples/quickstart.rs` for paper-scale
-    /// settings):
-    ///
-    /// ```
-    /// use cmmf::{CmmfConfig, Optimizer};
-    /// use fidelity_sim::{FlowSimulator, SimParams};
-    /// use hls_model::benchmarks::{self, Benchmark};
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let space = benchmarks::build(Benchmark::SpmvCrs)?.pruned_space()?;
-    /// let sim = FlowSimulator::new(SimParams::for_benchmark(Benchmark::SpmvCrs));
-    ///
-    /// let mut cfg = CmmfConfig {
-    ///     n_iter: 2,
-    ///     candidate_pool: 15,
-    ///     mc_samples: 8,
-    ///     final_prediction_pool: 100,
-    ///     ..Default::default()
-    /// };
-    /// cfg.gp.restarts = 0;
-    /// cfg.gp.max_evals = 40;
-    ///
-    /// let result = Optimizer::new(cfg).run(&space, &sim)?;
-    /// assert_eq!(result.candidate_set.len(), 2);
-    /// assert!(!result.measured_pareto.is_empty());
-    /// assert!(result.sim_seconds > 0.0);
-    /// # Ok(())
-    /// # }
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// * [`CmmfError::SpaceTooSmall`] if the space cannot host the
-    ///   initialization plus one iteration.
-    /// * [`CmmfError::Model`] if surrogate fitting fails irrecoverably.
-    pub fn run(&self, space: &DesignSpace, sim: &FlowSimulator) -> Result<RunResult, CmmfError> {
-        self.with_pool(|| {
-            let state = LoopState::start(&self.cfg, space, sim)?;
-            Self::drive(state, None)
-        })
-    }
-
-    /// Runs initialization plus at most `steps` optimization steps and
-    /// returns the checkpoint — the deterministic "kill at step k" primitive
-    /// behind the resume tests and the CI smoke. `steps` is clamped to
-    /// [`CmmfConfig::n_iter`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Optimizer::run`].
-    pub fn run_until(
-        &self,
-        space: &DesignSpace,
-        sim: &FlowSimulator,
-        steps: usize,
-    ) -> Result<RunCheckpoint, CmmfError> {
-        self.with_pool(|| {
-            let cfg = &self.cfg;
-            let mut state = LoopState::start(cfg, space, sim)?;
-            for t in 0..steps.min(cfg.n_iter) {
-                if !state.run_step(t)? {
-                    break;
-                }
-            }
-            Ok(state.checkpoint())
-        })
-    }
-
-    /// Resumes a checkpointed run and drives it to completion. The result is
-    /// bit-identical to the uninterrupted run that would have produced the
-    /// same checkpoint (pinned by `resume_is_bit_identical`): the recorded
-    /// decisions are replayed through the deterministic simulator and GP
-    /// fits, then the loop continues from the recorded RNG position.
-    ///
-    /// The configuration must match the one that wrote the checkpoint
-    /// (fingerprinted; `threads` and `tracer` may differ), and `space`/`sim`
-    /// must be the same design space and simulator.
-    ///
-    /// # Errors
-    ///
-    /// * [`CmmfError::Checkpoint`] if the checkpoint's version, fingerprint,
-    ///   or shape does not match this configuration and space.
-    /// * Everything [`Optimizer::run`] can return.
-    pub fn resume(
-        &self,
-        ckpt: &RunCheckpoint,
-        space: &DesignSpace,
-        sim: &FlowSimulator,
-    ) -> Result<RunResult, CmmfError> {
-        self.with_pool(|| {
-            let state = LoopState::restore(&self.cfg, space, sim, ckpt)?;
-            Self::drive(state, None)
-        })
-    }
-
-    /// Runs like [`Optimizer::run`], but checkpoints to `path` after every
-    /// completed step (atomic write) and — if `path` already holds a
-    /// checkpoint — resumes from it instead of starting over. The crash
-    /// recovery loop of a long sweep is therefore just "run the same command
-    /// again".
-    ///
-    /// # Errors
-    ///
-    /// * [`CmmfError::Checkpoint`] if an existing checkpoint at `path` cannot
-    ///   be read or does not match this configuration, or if a checkpoint
-    ///   cannot be written.
-    /// * Everything [`Optimizer::run`] can return.
-    pub fn run_with_checkpoints(
-        &self,
-        space: &DesignSpace,
-        sim: &FlowSimulator,
-        path: &Path,
-    ) -> Result<RunResult, CmmfError> {
-        self.with_pool(|| {
-            let state = if path.exists() {
-                LoopState::restore(&self.cfg, space, sim, &RunCheckpoint::load(path)?)?
-            } else {
-                LoopState::start(&self.cfg, space, sim)?
-            };
-            Self::drive(state, Some(path))
-        })
-    }
-
-    /// Sets up the run's thread pool (see [`with_pool`]).
-    fn with_pool<T>(&self, f: impl FnOnce() -> Result<T, CmmfError>) -> Result<T, CmmfError> {
-        with_pool(self.cfg.threads, f)
-    }
-
-    /// The main loop: executes the remaining steps (checkpointing after each
-    /// when `ckpt_path` is set) and finishes. The run-started announcement is
-    /// emitted by [`LoopState::start`]/[`LoopState::restore`] so it precedes
-    /// the initialization or replay tool runs.
-    fn drive(mut state: LoopState<'_>, ckpt_path: Option<&Path>) -> Result<RunResult, CmmfError> {
-        let cfg = state.cfg;
-        let first = state.steps_done;
-        for t in first..cfg.n_iter {
-            if !state.run_step(t)? {
-                break;
-            }
-            if let Some(path) = ckpt_path {
-                let ckpt = state.checkpoint();
-                let bytes = ckpt.save(path)?;
-                cfg.tracer.emit(|| TraceEvent::CheckpointWritten {
-                    step: state.steps_done,
-                    bytes,
-                });
-            }
-        }
-        state.finish()
-    }
-}
-
-/// Runs `f` on a dedicated rayon pool of `threads` workers. `threads == 0`
-/// inherits the ambient rayon default (an enclosing `ThreadPool::install`,
-/// `build_global`, or the hardware parallelism) so harness binaries can set a
-/// process-wide `--threads` once. Shared by [`Optimizer`] and
-/// [`crate::AsyncOptimizer`].
-pub(crate) fn with_pool<T>(
-    threads: usize,
-    f: impl FnOnce() -> Result<T, CmmfError>,
-) -> Result<T, CmmfError> {
-    let n = if threads == 0 {
-        rayon::current_num_threads()
-    } else {
-        threads
-    };
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(n)
-        .build()
-        .map_err(|e| CmmfError::Internal {
-            reason: format!("thread pool: {e}"),
-        })?;
-    pool.install(f)
+/// The Pareto front of `front` plus one fantasized `point`.
+fn merge_into_front(front: &[Vec<f64>], point: Vec<f64>) -> Vec<Vec<f64>> {
+    pareto_front(
+        &front
+            .iter()
+            .cloned()
+            .chain(std::iter::once(point))
+            .collect::<Vec<_>>(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Optimizer, RunCheckpoint};
     use fidelity_sim::SimParams;
     use hls_model::benchmarks::{self, Benchmark};
     use std::sync::Arc;
@@ -1832,20 +1418,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_tools_accounting_is_cheaper_than_serial() {
-        let (space, sim) = setup(Benchmark::SpmvCrs);
-        let mut par = quick_cfg(13);
-        par.batch_size = 3;
-        par.n_iter = 4;
-        par.batch_parallel_tools = true;
-        let mut ser = par.clone();
-        ser.batch_parallel_tools = false;
-        let rp = Optimizer::new(par).run(&space, &sim).unwrap();
-        let rs = Optimizer::new(ser).run(&space, &sim).unwrap();
-        assert!(rp.sim_seconds <= rs.sim_seconds);
-    }
-
-    #[test]
     fn space_too_small_is_rejected() {
         let (space, sim) = setup(Benchmark::SpmvCrs);
         let mut cfg = quick_cfg(6);
@@ -1864,6 +1436,33 @@ mod tests {
         assert!(matches!(
             Optimizer::new(cfg).run(&space, &sim),
             Err(CmmfError::Internal { .. })
+        ));
+    }
+
+    #[test]
+    fn batch_with_async_slots_is_rejected() {
+        // `batch_size` belongs to the barrier policy; the refill policy
+        // makes single-pick decisions, so the combination would silently
+        // ignore the batch. Every entry point refuses it.
+        let (space, sim) = setup(Benchmark::SpmvCrs);
+        let mut cfg = quick_cfg(7);
+        cfg.batch_size = 2;
+        cfg.async_slots = 3;
+        let opt = Optimizer::new(cfg);
+        assert!(matches!(
+            opt.run(&space, &sim),
+            Err(CmmfError::InvalidConfig { .. })
+        ));
+        assert!(matches!(
+            opt.run_until(&space, &sim, 1),
+            Err(CmmfError::InvalidConfig { .. })
+        ));
+        let ckpt = Optimizer::new(quick_cfg(7))
+            .run_until(&space, &sim, 1)
+            .unwrap();
+        assert!(matches!(
+            opt.resume(&ckpt, &space, &sim),
+            Err(CmmfError::InvalidConfig { .. })
         ));
     }
 }

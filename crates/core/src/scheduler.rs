@@ -1,342 +1,340 @@
-//! Asynchronous cost-aware batch BO on a deterministic event clock.
+//! The Algorithm-2 event loop: one driver on a deterministic virtual clock,
+//! two dispatch policies.
 //!
-//! The sequential [`Optimizer`](crate::Optimizer) serializes the flow: every
-//! simulated tool run must finish before the next acquisition argmax. Real
-//! FPGA tool farms don't work that way — an implementation run takes hours
-//! while HLS takes seconds, and a scheduler with `k` tool licenses keeps all
-//! of them busy. [`AsyncOptimizer`] models exactly that on the simulator's
-//! cost model (`T_hls ≪ T_syn ≪ T_impl`), promoted to a discrete-event
-//! *virtual clock* ([`trace::VirtualClock`]):
+//! Every run — sequential, batched, or overlapped — is a sequence of
+//! *dispatch decisions* and *completions* on a discrete-event virtual clock
+//! ([`trace::VirtualClock`]) driven by the simulator's cost model
+//! (`T_hls ≪ T_syn ≪ T_impl`). A decision fits the surrogate on everything
+//! observed so far, fantasizes the in-flight runs' outcomes (their posterior
+//! means) into the per-fidelity Pareto fronts, and picks by greedy q-EIPV; a
+//! completion advances the clock to a run's finish time and observes its
+//! true outcome. [`CmmfConfig::async_slots`] chooses the policy:
 //!
-//! * up to [`CmmfConfig::async_slots`] simulated tool runs are in flight at
-//!   once, across fidelities;
-//! * each dispatch decision fits the surrogate on everything observed *so
-//!   far* and fantasizes the pending runs' outcomes (their posterior means)
-//!   into the per-fidelity Pareto fronts — the greedy q-EIPV treatment of
-//!   [`CmmfConfig::batch_size`], applied to in-flight work instead of a
-//!   synchronous batch;
-//! * time advances only when the earliest in-flight run finishes; its true
-//!   outcome replaces the fantasy and the freed slot is refilled.
+//! * **barrier** (`async_slots == 0`): each step makes one decision that
+//!   picks [`CmmfConfig::batch_size`] runs from one candidate pool, then
+//!   waits for all of them, observing them in pick order. A step costs its
+//!   longest run (q parallel tool licenses); at `batch_size = 1` this is
+//!   Algorithm 2 exactly.
+//! * **refill** (`async_slots = k >= 1`): up to `k` runs stay in flight, and
+//!   whenever a slot frees, a single-pick decision refills it. Time advances
+//!   only when the earliest in-flight run finishes. Real FPGA tool farms
+//!   work this way: an implementation run takes hours while HLS takes
+//!   seconds, and `k` licenses stay busy.
 //!
 //! The schedule is a pure function of the seed and the cost model: no host
 //! timing is ever read (the only sanctioned host-clock use is the
 //! tracer-gated [`trace::Stopwatch`], and a disabled tracer reads nothing —
-//! pinned by `disabled_tracer_reads_no_host_clock`). `async_slots = 1`
-//! degenerates to the sequential loop bit-for-bit (pinned by
-//! `async_k1_matches_sequential_bitwise`), and any thread count yields the
-//! same schedule (pinned by `schedule_is_deterministic`).
+//! pinned by `disabled_tracer_reads_no_host_clock`). Refill at `k = 1` and
+//! barrier at `q = 1` both fully serialize the flow and agree bit-for-bit
+//! (pinned by `refill_k1_matches_barrier_bitwise`), and any thread count
+//! yields the same schedule (pinned by `schedule_is_deterministic`).
 //!
-//! Checkpoints record the *decisions* — the dispatch-ordered picks plus the
-//! interleaved dispatch/completion event log — so a kill mid-overlap resumes
-//! bit-identically: the event log replays the interrupted run's exact
-//! interleaving of surrogate fits and observations, reconstructing the
-//! virtual clock and the in-flight set, which are then verified against the
-//! checkpoint's redundant copy (see [`RunCheckpoint::in_flight`]).
+//! Checkpoints ([`RunCheckpoint`], schema version 3) record the *decisions*
+//! — the dispatch-ordered picks plus the interleaved dispatch/completion
+//! event log — so a kill resumes bit-identically, even mid-overlap: the
+//! event log replays the interrupted run's exact interleaving of surrogate
+//! fits and observations, reconstructing the virtual clock and the in-flight
+//! set, which are then verified against the checkpoint's redundant copy
+//! (see [`RunCheckpoint::in_flight`]). Version-2 files of either former
+//! shape are migrated on load.
 
 use crate::checkpoint::{PickRecord, RunCheckpoint, ScheduleEvent, CHECKPOINT_VERSION};
-use crate::models::{FidelityModelStack, StackFitOptions, N_OBJECTIVES};
-use crate::optimizer::{with_pool, CandidateChoice, CmmfConfig, LoopState, RunResult};
+use crate::optimizer::{CandidateChoice, CmmfConfig, LoopState, RunResult};
 use crate::CmmfError;
 use fidelity_sim::{FlowSimulator, Stage};
 use hls_model::DesignSpace;
-use pareto::pareto_front;
-use rand::derive_stream_seed;
 use rand::rngs::StdRng;
 use std::path::Path;
-use trace::{Stopwatch, TraceEvent, VirtualClock};
+use trace::{TraceEvent, VirtualClock};
 
-/// The asynchronous Algorithm-2 scheduler: the same surrogate, acquisition,
-/// and simulator as [`Optimizer`](crate::Optimizer), driven by a
-/// discrete-event virtual clock that keeps up to [`CmmfConfig::async_slots`]
-/// simulated tool runs in flight. See the [module docs](self) for the model.
+/// The Algorithm-2 Bayesian optimizer: the surrogate, acquisition, and
+/// simulator of the paper, driven by the virtual-clock event loop under the
+/// dispatch policy [`CmmfConfig::async_slots`] selects. See the
+/// [module docs](self) for the model.
 #[derive(Debug, Clone)]
-pub struct AsyncOptimizer {
+pub struct Optimizer {
     cfg: CmmfConfig,
+}
+
+/// The former name of [`Optimizer`] under the refill policy; both policies
+/// now run through the one type.
+pub type AsyncOptimizer = Optimizer;
+
+/// How decisions are dispatched onto the virtual clock.
+#[derive(Clone, Copy)]
+enum Policy {
+    /// One decision picks `q` runs, then waits for all of them.
+    Barrier(usize),
+    /// Up to `k` runs in flight; each free slot gets a single-pick decision.
+    Refill(usize),
+}
+
+impl Policy {
+    fn of(cfg: &CmmfConfig) -> Self {
+        if cfg.async_slots == 0 {
+            Policy::Barrier(cfg.batch_size.max(1))
+        } else {
+            Policy::Refill(cfg.async_slots)
+        }
+    }
+
+    /// How many runs one decision picks.
+    fn picks(self) -> usize {
+        match self {
+            Policy::Barrier(q) => q,
+            Policy::Refill(_) => 1,
+        }
+    }
+
+    /// Concurrent initialization runs: the barrier policy observes the
+    /// initialization set serially, as Algorithm 2 does.
+    fn init_slots(self) -> usize {
+        match self {
+            Policy::Barrier(_) => 1,
+            Policy::Refill(k) => k,
+        }
+    }
+
+    /// Whether a new decision may be dispatched with `in_flight` runs out.
+    fn has_room(self, in_flight: usize) -> bool {
+        match self {
+            Policy::Barrier(_) => in_flight == 0,
+            Policy::Refill(k) => in_flight < k,
+        }
+    }
 }
 
 /// One in-flight simulated tool run.
 struct InFlight {
-    /// The BO dispatch index (0-based; also the index into the recorded
-    /// dispatch list).
+    /// The run's number in the whole run: its rank for initialization runs,
+    /// `n_init` + its dispatch index for BO runs (the `seq` of its
+    /// `run_dispatched`/`run_completed` events, and the completion tie-break).
     seq: usize,
-    /// What was dispatched: configuration, target fidelity, acquisition.
-    choice: CandidateChoice,
+    /// The decision that dispatched it (`None` during initialization).
+    step: Option<usize>,
+    config: usize,
+    stage: Stage,
     /// Virtual-clock time at which the run finishes.
     finish_at: f64,
 }
 
-/// The live state of one asynchronous run: the shared [`LoopState`] plus the
-/// event-clock machinery layered on top.
-struct AsyncState<'a> {
+/// The live state of one run: the decision state plus the event clock.
+struct EventLoop<'a> {
     base: LoopState<'a>,
-    /// Concurrent tool licenses (`async_slots.max(1)`).
-    slots: usize,
+    policy: Policy,
     clock: VirtualClock,
     /// In-flight runs, in dispatch order.
     pending: Vec<InFlight>,
-    /// Every BO pick so far, in dispatch order (the async analogue of the
-    /// sequential loop's per-step `picks`).
+    /// Every pick so far, in dispatch order.
     dispatches: Vec<PickRecord>,
     /// The interleaved dispatch/completion event log, in virtual-clock order.
     schedule: Vec<ScheduleEvent>,
-    /// BO dispatches so far (`== dispatches.len()`; the next dispatch index).
-    dispatched: usize,
-    /// BO completions so far (the run's `completed_steps`).
+    /// Decisions made so far (the next decision index).
+    decisions: usize,
+    /// Completion phases so far — steps under the barrier policy, single
+    /// completions under refill (the run's `completed_steps`).
     completed: usize,
-    /// The candidate pool came up empty at a dispatch attempt; stop
+    /// The candidate pool came up empty at a decision attempt; stop
     /// dispatching and drain the in-flight runs.
     exhausted: bool,
 }
 
-impl<'a> AsyncState<'a> {
+/// What a structurally valid event log implies (see
+/// [`EventLoop::read_schedule`]).
+struct LogShape {
+    /// The decision index of each dispatch.
+    step_of: Vec<usize>,
+    /// Decisions that dispatched runs.
+    decisions: usize,
+    /// Whether a decision attempt found the pool empty.
+    exhausted: bool,
+}
+
+impl<'a> EventLoop<'a> {
+    fn new(base: LoopState<'a>) -> Self {
+        let cfg = base.cfg;
+        let policy = Policy::of(cfg);
+        EventLoop {
+            base,
+            policy,
+            clock: VirtualClock::new(),
+            pending: Vec::with_capacity(policy.picks().max(cfg.async_slots)),
+            dispatches: Vec::with_capacity(cfg.n_iter * policy.picks()),
+            schedule: Vec::with_capacity(2 * cfg.n_iter * policy.picks()),
+            decisions: 0,
+            completed: 0,
+            exhausted: false,
+        }
+    }
+
     /// Fresh state: seeds the run and pushes the initialization set through
-    /// the `k` slots (ranks keep their nested top stages; only their timing
-    /// overlaps).
+    /// the policy's initialization slots.
     fn start(
         cfg: &'a CmmfConfig,
         space: &'a DesignSpace,
         sim: &'a FlowSimulator,
     ) -> Result<Self, CmmfError> {
-        let base = LoopState::fresh_shell(cfg, space, sim)?;
-        let mut state = AsyncState {
-            slots: cfg.async_slots.max(1),
-            clock: VirtualClock::new(),
-            pending: Vec::with_capacity(cfg.async_slots.max(1)),
-            dispatches: Vec::with_capacity(cfg.n_iter),
-            schedule: Vec::with_capacity(2 * cfg.n_iter),
-            dispatched: 0,
-            completed: 0,
-            exhausted: false,
-            base,
-        };
-        state.run_init()?;
+        let mut state = Self::new(LoopState::fresh(cfg, space, sim)?);
+        state.run_init();
         Ok(state)
     }
 
-    /// Runs the initialization set through the `k` slots on the virtual
-    /// clock: dispatch eagerly while a slot is free, otherwise complete the
-    /// earliest-finishing run (ties to the lowest rank). Observation order is
-    /// completion order. With one slot this reduces to the sequential
-    /// initialization exactly (same observation order, same `f64` time
-    /// accumulation). Shared by fresh starts and resume replay — the
-    /// initialization schedule is implied by `init` and the cost model, so
-    /// checkpoints don't record it.
-    fn run_init(&mut self) -> Result<(), CmmfError> {
-        let cfg = self.base.cfg;
-        let n = self.base.init.len();
-        // (rank, finish_at) of the in-flight initialization runs.
-        let mut pending: Vec<(usize, f64)> = Vec::with_capacity(self.slots);
-        let mut next = 0usize;
-        while next < n || !pending.is_empty() {
-            if next < n && pending.len() < self.slots {
-                let rank = next;
-                let config = self.base.init[rank];
-                let stage = LoopState::init_top_stage(cfg, rank);
-                let secs = self.base.sim.stage_seconds(self.base.space, config, stage);
-                let clock = self.clock.now();
-                let finish = clock + secs;
-                if !self.base.replaying {
-                    let in_flight = pending.len() + 1;
-                    cfg.tracer.emit(|| TraceEvent::RunDispatched {
-                        seq: rank,
-                        step: None,
-                        config,
-                        fidelity: stage.index(),
-                        clock,
-                        finish,
-                        in_flight,
-                    });
-                }
-                pending.push((rank, finish));
-                next += 1;
-                continue;
-            }
-            let Some(k) = earliest_by(&pending, |&(rank, finish)| (finish, rank)) else {
-                break;
-            };
-            let (rank, finish) = pending.remove(k);
-            self.clock.advance_to(finish);
-            let config = self.base.init[rank];
-            let stage = LoopState::init_top_stage(cfg, rank);
-            self.base.observe(config, stage, None);
-            self.base.sim_seconds = self.clock.now();
-            if !self.base.replaying {
-                let clock = self.clock.now();
-                let in_flight = pending.len();
-                cfg.tracer.emit(|| TraceEvent::RunCompleted {
-                    seq: rank,
-                    step: None,
-                    config,
-                    fidelity: stage.index(),
-                    clock,
-                    in_flight,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// One dispatch decision at the current virtual-clock time: fit the
-    /// surrogate on everything observed so far, fantasize the pending runs'
-    /// posterior means into the fronts, take the PEIPV argmax over a fresh
-    /// candidate pool, and put the winner in flight. Returns `false` when the
-    /// pool is exhausted (recorded as [`ScheduleEvent::Exhausted`]; the
-    /// attempt's surrogate fit still counts for resume).
-    fn dispatch_next(&mut self) -> Result<bool, CmmfError> {
-        let cfg = self.base.cfg;
-        let tracer = &cfg.tracer;
-        let t = self.dispatched;
-        tracer.emit(|| TraceEvent::StepStarted {
-            step: t,
-            observed: [
-                self.base.obs[0].len(),
-                self.base.obs[1].len(),
-                self.base.obs[2].len(),
-            ],
-        });
-        let (new_stack, fronts) = self.base.fit_step_stack(t)?;
-
-        // Fantasy fronts: the observed fronts augmented with the pending
-        // runs' posterior means under the new stack, in dispatch order —
-        // the same greedy q-EIPV fantasization the sequential loop applies
-        // within a batch, here applied to in-flight work.
-        let mut fantasy = fronts;
-        for run in &self.pending {
-            let fi = run.choice.stage.index();
-            let x = self.base.space.encode(run.choice.config);
-            let pred = new_stack.predict_in(fi, &x, &self.base.ws)?;
-            let merged = pareto_front(
-                &fantasy[fi]
-                    .iter()
-                    .cloned()
-                    .chain(std::iter::once(pred.mean))
-                    .collect::<Vec<_>>(),
-            );
-            fantasy[fi] = merged;
-        }
-
-        let Some(prep) = self.base.prepare_candidates(&new_stack)? else {
-            self.base.stack = Some(new_stack);
-            self.schedule.push(ScheduleEvent::Exhausted);
-            self.exhausted = true;
-            return Ok(false);
-        };
-        let reference = vec![2.5; N_OBJECTIVES];
-        let scorers = LoopState::build_scorers(cfg, &fantasy, &reference);
-        let slot_started = tracer.enabled().then(Stopwatch::start);
-        // Same seed chain as the sequential loop's batch slot 0, so one slot
-        // reproduces it bit-for-bit.
-        let q_seed = derive_stream_seed(derive_stream_seed(cfg.seed, &[t as u64]), &[0u64]);
-        let sel = self
-            .base
-            .select_pick(&prep, &scorers, &fantasy, &reference, q_seed, &[])?
-            .ok_or_else(|| CmmfError::Internal {
-                reason: "no candidate scored".into(),
-            })?;
-        let choice = sel.choice;
-        tracer.emit(|| TraceEvent::AcquisitionScored {
-            step: t,
-            slot: 0,
-            config: choice.config,
-            fidelity: choice.stage.index(),
-            candidates: sel.n_scored,
-            eipv: sel.raw_eipv,
-            penalized: choice.acquisition,
-            seconds: slot_started.map_or(0.0, |s| s.seconds()),
-        });
-
-        let secs = self
-            .base
-            .sim
-            .stage_seconds(self.base.space, choice.config, choice.stage);
+    /// Puts one run in flight at the current clock reading.
+    fn launch(&mut self, seq: usize, step: Option<usize>, config: usize, stage: Stage) {
         let clock = self.clock.now();
-        let finish = clock + secs;
-        {
-            let seq = cfg.n_init + t;
+        let finish_at = clock + self.base.sim.stage_seconds(self.base.space, config, stage);
+        if !self.base.replaying {
             let in_flight = self.pending.len() + 1;
-            tracer.emit(|| TraceEvent::RunDispatched {
+            self.base.cfg.tracer.emit(|| TraceEvent::RunDispatched {
                 seq,
-                step: Some(t),
-                config: choice.config,
-                fidelity: choice.stage.index(),
+                step,
+                config,
+                fidelity: stage.index(),
                 clock,
-                finish,
+                finish: finish_at,
                 in_flight,
             });
         }
         self.pending.push(InFlight {
-            seq: t,
-            choice,
-            finish_at: finish,
+            seq,
+            step,
+            config,
+            stage,
+            finish_at,
         });
-        self.schedule.push(ScheduleEvent::Dispatch(t));
-        self.dispatches.push(PickRecord {
-            config: choice.config,
-            stage_index: choice.stage.index(),
-            acquisition_bits: choice.acquisition.to_bits(),
-        });
-        self.base.candidate_set.push(choice);
-        self.base.unsampled.retain(|&c| c != choice.config);
-        self.base.stack = Some(new_stack);
-        self.dispatched = t + 1;
-        Ok(true)
     }
 
-    /// Advances the virtual clock to the earliest-finishing in-flight run
-    /// (ties to the lowest dispatch index), observes its true outcome, and
-    /// records the completion.
-    fn complete_earliest(&mut self) -> Result<(), CmmfError> {
-        let cfg = self.base.cfg;
-        let Some(k) = earliest_by(&self.pending, |run| (run.finish_at, run.seq)) else {
-            return Err(CmmfError::Internal {
-                reason: "completion requested with nothing in flight".into(),
-            });
-        };
+    /// Takes `pending[k]` out of flight: advances the clock to its finish
+    /// time and observes its outcome.
+    fn land(&mut self, k: usize) -> InFlight {
         let run = self.pending.remove(k);
-        self.clock.advance_to(run.finish_at);
-        self.base
-            .observe(run.choice.config, run.choice.stage, Some(run.seq));
-        self.base.sim_seconds = self.clock.now();
+        let clock = self.clock.advance_to(run.finish_at);
+        self.base.observe(run.config, run.stage, run.step);
         if !self.base.replaying {
-            let clock = self.clock.now();
             let in_flight = self.pending.len();
-            let seq = cfg.n_init + run.seq;
-            cfg.tracer.emit(|| TraceEvent::RunCompleted {
-                seq,
-                step: Some(run.seq),
-                config: run.choice.config,
-                fidelity: run.choice.stage.index(),
+            self.base.cfg.tracer.emit(|| TraceEvent::RunCompleted {
+                seq: run.seq,
+                step: run.step,
+                config: run.config,
+                fidelity: run.stage.index(),
                 clock,
                 in_flight,
             });
         }
-        self.schedule.push(ScheduleEvent::Complete(run.seq));
+        run
+    }
+
+    /// The earliest-finishing in-flight run (ties to the lowest `seq`, under
+    /// `total_cmp`).
+    fn earliest(&self) -> Option<usize> {
+        (0..self.pending.len()).min_by(|&a, &b| {
+            let (a, b) = (&self.pending[a], &self.pending[b]);
+            a.finish_at.total_cmp(&b.finish_at).then(a.seq.cmp(&b.seq))
+        })
+    }
+
+    /// Runs the initialization set on the virtual clock through the policy's
+    /// initialization slots: launch eagerly while a slot is free, otherwise
+    /// land the earliest finisher. Ranks keep their nested top stages; only
+    /// their timing overlaps, and observation order is completion order.
+    /// With one slot this is Algorithm 2's serial initialization (rank order,
+    /// summed times). Shared by fresh starts and resume replay — the
+    /// initialization schedule is implied by `init` and the cost model, so
+    /// checkpoints don't record it.
+    fn run_init(&mut self) {
+        let cfg = self.base.cfg;
+        for rank in 0..self.base.init.len() {
+            if self.pending.len() == self.policy.init_slots() {
+                if let Some(k) = self.earliest() {
+                    self.land(k);
+                }
+            }
+            let config = self.base.init[rank];
+            self.launch(rank, None, config, LoopState::init_top_stage(cfg, rank));
+        }
+        while let Some(k) = self.earliest() {
+            self.land(k);
+        }
+    }
+
+    /// One dispatch decision at the current virtual-clock time
+    /// ([`LoopState::decide`]); puts its picks in flight. Returns `false`
+    /// when the pool is exhausted (recorded as [`ScheduleEvent::Exhausted`];
+    /// the attempt's surrogate fit still counts for resume).
+    fn dispatch(&mut self) -> Result<bool, CmmfError> {
+        let t = self.decisions;
+        let pending: Vec<(usize, Stage)> =
+            self.pending.iter().map(|r| (r.config, r.stage)).collect();
+        let Some(picks) = self.base.decide(t, &pending, self.policy.picks())? else {
+            self.schedule.push(ScheduleEvent::Exhausted);
+            self.exhausted = true;
+            return Ok(false);
+        };
+        for choice in picks {
+            let i = self.dispatches.len();
+            self.launch(
+                self.base.cfg.n_init + i,
+                Some(t),
+                choice.config,
+                choice.stage,
+            );
+            self.schedule.push(ScheduleEvent::Dispatch(i));
+            self.dispatches.push(PickRecord {
+                config: choice.config,
+                stage_index: choice.stage.index(),
+                acquisition_bits: choice.acquisition.to_bits(),
+            });
+        }
+        self.decisions = t + 1;
+        Ok(true)
+    }
+
+    /// One completion phase: under the barrier policy, lands the whole step's
+    /// runs in pick order; under refill, the earliest finisher. The phase
+    /// ends with a front update.
+    fn complete(&mut self) -> Result<(), CmmfError> {
+        let mut step = None;
+        while let Some(k) = match self.policy {
+            Policy::Barrier(_) => (!self.pending.is_empty()).then_some(0),
+            Policy::Refill(_) => self.earliest(),
+        } {
+            let run = self.land(k);
+            self.schedule
+                .push(ScheduleEvent::Complete(run.seq - self.base.cfg.n_init));
+            step = run.step;
+            if let Policy::Refill(_) = self.policy {
+                break;
+            }
+        }
+        let step = step.ok_or_else(|| CmmfError::Internal {
+            reason: "completion requested with no BO run in flight".into(),
+        })?;
         self.completed += 1;
-        self.base.steps_done = self.completed;
-        self.base.record_front(run.seq);
+        self.base.record_front(step);
         Ok(())
     }
 
-    /// The event loop: keep the slots full, then advance the clock to the
-    /// next completion; checkpoint after each completion when `ckpt_path` is
-    /// set; stop after `max_completions` (the "kill after k completions"
-    /// primitive behind the resume tests).
+    /// The event loop: dispatch while the policy has room, then advance the
+    /// clock by one completion phase; checkpoint after each phase when
+    /// `ckpt_path` is set; stop after `max_completions` phases (the "kill
+    /// after k" primitive behind the resume tests).
     fn drive(&mut self, ckpt_path: Option<&Path>, max_completions: usize) -> Result<(), CmmfError> {
         let cfg = self.base.cfg;
         while self.completed < max_completions.min(cfg.n_iter) {
-            while !self.exhausted && self.pending.len() < self.slots && self.dispatched < cfg.n_iter
+            while !self.exhausted
+                && self.decisions < cfg.n_iter
+                && self.policy.has_room(self.pending.len())
             {
-                if !self.dispatch_next()? {
+                if !self.dispatch()? {
                     break;
                 }
             }
             if self.pending.is_empty() {
                 break;
             }
-            self.complete_earliest()?;
+            self.complete()?;
             if let Some(path) = ckpt_path {
-                let ckpt = self.checkpoint();
-                let bytes = ckpt.save(path)?;
+                let bytes = self.checkpoint().save(path)?;
                 cfg.tracer.emit(|| TraceEvent::CheckpointWritten {
                     step: self.completed,
                     bytes,
@@ -346,22 +344,32 @@ impl<'a> AsyncState<'a> {
         Ok(())
     }
 
-    /// Snapshots the run after the last completion (possibly mid-overlap).
+    /// Final Pareto identification.
+    fn finish(self) -> Result<RunResult, CmmfError> {
+        self.base.finish(self.completed, self.clock.now())
+    }
+
+    /// The in-flight set as `[dispatch index, finish-time bits]`, in dispatch
+    /// order.
+    fn in_flight(&self) -> Vec<[u64; 2]> {
+        let n_init = self.base.cfg.n_init;
+        self.pending
+            .iter()
+            .map(|run| [(run.seq - n_init) as u64, run.finish_at.to_bits()])
+            .collect()
+    }
+
+    /// Snapshots the run after the last completion phase (mid-overlap under
+    /// refill).
     fn checkpoint(&self) -> RunCheckpoint {
         RunCheckpoint {
             version: CHECKPOINT_VERSION,
             fingerprint: RunCheckpoint::fingerprint_of(self.base.cfg),
-            is_async: true,
             completed_steps: self.completed,
             init: self.base.init.clone(),
-            picks: Vec::new(),
             dispatches: self.dispatches.clone(),
             schedule: self.schedule.clone(),
-            in_flight: self
-                .pending
-                .iter()
-                .map(|run| [run.seq as u64, run.finish_at.to_bits()])
-                .collect(),
+            in_flight: self.in_flight(),
             unsampled: self.base.unsampled.clone(),
             rng_state: self.base.rng.state(),
             sim_seconds_bits: self.clock.now().to_bits(),
@@ -369,20 +377,22 @@ impl<'a> AsyncState<'a> {
                 .base
                 .hv_history
                 .iter()
-                .map(|hv| [0, 1, 2].map(|d| hv[d].to_bits()))
+                .map(|hv| hv.map(f64::to_bits))
                 .collect(),
         }
     }
 
-    /// Reconstructs the state an asynchronous checkpoint describes,
-    /// bit-identically to the run that wrote it: replays the initialization
+    /// Reconstructs the state a checkpoint describes, bit-identically to the
+    /// run that wrote it: restores the recorded decisions (initialization,
+    /// picks, candidate order, RNG position), replays the initialization
     /// through the virtual clock, then walks the recorded event log —
-    /// re-fitting the surrogate at each dispatch (from the last
-    /// hyperparameter-optimization attempt on) and re-observing each
-    /// completion at its recorded interleaving — and finally verifies the
-    /// rebuilt in-flight set and clock against the checkpoint's copies, so a
-    /// mismatched simulator or design space fails loudly instead of
-    /// diverging.
+    /// re-fitting the surrogate at each decision (from the last
+    /// hyperparameter-optimization attempt on; GP fits seed their own RNG per
+    /// call, so the replayed chain is exact), relaunching each dispatch and
+    /// landing each completion at its recorded interleaving through the
+    /// deterministic simulator. Finally it verifies the rebuilt in-flight set
+    /// and clock against the checkpoint's copies, so a mismatched simulator
+    /// or design space fails loudly instead of diverging.
     fn restore(
         cfg: &'a CmmfConfig,
         space: &'a DesignSpace,
@@ -390,20 +400,21 @@ impl<'a> AsyncState<'a> {
         ckpt: &RunCheckpoint,
     ) -> Result<Self, CmmfError> {
         LoopState::validate(cfg, space)?;
-        LoopState::check_compat(cfg, ckpt)?;
-        if !ckpt.is_async {
+        let expected = RunCheckpoint::fingerprint_of(cfg);
+        if ckpt.version != CHECKPOINT_VERSION || ckpt.fingerprint != expected {
             return Err(CmmfError::Checkpoint {
-                reason: "checkpoint was written by the sequential optimizer; \
-                         resume it with Optimizer"
-                    .into(),
+                reason: format!(
+                    "configuration mismatch: checkpoint (version {}) was written under\n  {}\n\
+                     but this run is\n  {}",
+                    ckpt.version, ckpt.fingerprint, expected
+                ),
             });
         }
-        let nd = ckpt.dispatches.len();
+        let shape = Self::read_schedule(ckpt, Policy::of(cfg))?;
         let completed = ckpt.completed_steps;
         if ckpt.init.len() != cfg.n_init
-            || !ckpt.picks.is_empty()
-            || nd > cfg.n_iter
-            || completed > nd
+            || shape.decisions > cfg.n_iter
+            || completed > cfg.n_iter
             || ckpt.hv_history_bits.len() != completed
         {
             return Err(CmmfError::Checkpoint {
@@ -437,134 +448,76 @@ impl<'a> AsyncState<'a> {
                     })
             })
             .collect::<Result<_, _>>()?;
-        Self::validate_schedule(ckpt, nd, completed)?;
         cfg.tracer.emit(|| TraceEvent::RunStarted {
             seed: cfg.seed,
             n_iter: cfg.n_iter,
             resumed_at: Some(completed),
         });
 
-        let base = LoopState {
+        let mut base = LoopState::new(
             cfg,
             space,
             sim,
-            rng: StdRng::from_state(ckpt.rng_state),
-            unsampled: ckpt.unsampled.clone(),
-            init: ckpt.init.clone(),
-            obs: Default::default(),
-            sim_seconds: f64::from_bits(ckpt.sim_seconds_bits),
-            candidate_set: Vec::with_capacity(cfg.n_iter),
-            picks: Vec::new(),
-            stack: None,
-            ws: LoopState::workspace_for(cfg),
-            hv_history: ckpt
-                .hv_history_bits
-                .iter()
-                .map(|hv| [0, 1, 2].map(|d| f64::from_bits(hv[d])))
-                .collect(),
-            steps_done: completed,
-            replaying: true,
-        };
-        let mut state = AsyncState {
-            slots: cfg.async_slots.max(1),
-            clock: VirtualClock::new(),
-            pending: Vec::with_capacity(cfg.async_slots.max(1)),
-            dispatches: ckpt.dispatches.clone(),
-            schedule: ckpt.schedule.clone(),
-            dispatched: nd,
-            completed,
-            exhausted: ckpt
-                .schedule
-                .iter()
-                .any(|e| matches!(e, ScheduleEvent::Exhausted)),
-            base,
-        };
-        // The initialization schedule is implied; replay it to rebuild the
-        // observation sets and the post-init clock.
-        state.run_init()?;
+            StdRng::from_state(ckpt.rng_state),
+            ckpt.unsampled.clone(),
+            ckpt.init.clone(),
+        );
+        base.hv_history = ckpt
+            .hv_history_bits
+            .iter()
+            .map(|hv| hv.map(f64::from_bits))
+            .collect();
+        base.replaying = true;
+        let mut state = Self::new(base);
+        state.dispatches = ckpt.dispatches.clone();
+        state.schedule = ckpt.schedule.clone();
+        state.decisions = shape.decisions;
+        state.completed = completed;
+        state.exhausted = shape.exhausted;
+        state.run_init();
 
         // Surrogate fits replay only from the last `FitMode::Optimize`
-        // dispatch attempt (whose fit does not depend on the previous
-        // stack); each live dispatch attempt at index i fitted at step i,
-        // and an `Exhausted` attempt fitted at step nd. With
-        // `warm_start_hyperopt` the Optimize fits chain through their warm
-        // seeds, so the whole fit history replays from attempt 0.
+        // decision attempt, whose fit does not depend on the previous stack —
+        // the cheap refits after it chain off its caches exactly as the
+        // interrupted run's did. An `Exhausted` attempt fitted as decision
+        // `decisions`. With `warm_start_hyperopt` the Optimize fits chain
+        // through their warm seeds, so the whole fit history replays from
+        // decision 0.
         let r = cfg.refit_every.max(1);
-        let n_fits = nd + usize::from(state.exhausted);
-        let refit_from = if n_fits == 0 || cfg.warm_start_hyperopt {
+        let n_fits = shape.decisions + usize::from(shape.exhausted);
+        let refit_from = if cfg.warm_start_hyperopt {
             0
         } else {
-            ((n_fits - 1) / r) * r
+            n_fits.saturating_sub(1) / r * r
         };
-        let quiet_fit = |base: &mut LoopState<'a>, t: usize| -> Result<(), CmmfError> {
-            let (data, _, _) = base.training_data();
-            base.stack = Some(FidelityModelStack::fit_with(
-                cfg.variant,
-                &data,
-                &cfg.gp,
-                &StackFitOptions {
-                    previous: base.stack.as_ref(),
-                    mode: LoopState::fit_mode(cfg, t),
-                    warm_start: cfg.warm_start_hyperopt,
-                    mixed_precision: cfg.mixed_precision,
-                },
-                &base.ws,
-            )?);
-            Ok(())
-        };
-        let mut dispatch_clock = vec![0.0f64; nd];
+        let step_of = &shape.step_of;
         for event in &ckpt.schedule {
             match *event {
                 ScheduleEvent::Dispatch(i) => {
-                    if n_fits > 0 && i >= refit_from {
-                        quiet_fit(&mut state.base, i)?;
+                    let t = step_of[i];
+                    if (i == 0 || step_of[i - 1] != t) && t >= refit_from {
+                        state.base.replay_fit(t)?;
                     }
-                    dispatch_clock[i] = state.clock.now();
-                    state.base.candidate_set.push(choices[i]);
+                    let choice = choices[i];
+                    state.launch(cfg.n_init + i, Some(t), choice.config, choice.stage);
+                    state.base.candidate_set.push(choice);
                 }
                 ScheduleEvent::Complete(i) => {
-                    let choice = choices[i];
-                    let secs = sim.stage_seconds(space, choice.config, choice.stage);
-                    state.clock.advance_to(dispatch_clock[i] + secs);
-                    state.base.observe(choice.config, choice.stage, Some(i));
-                    state.base.sim_seconds = state.clock.now();
+                    // `read_schedule` guarantees the run is in flight.
+                    if let Some(k) = state.pending.iter().position(|r| r.seq == cfg.n_init + i) {
+                        state.land(k);
+                    }
                 }
                 ScheduleEvent::Exhausted => {
-                    if nd >= refit_from {
-                        quiet_fit(&mut state.base, nd)?;
+                    if shape.decisions >= refit_from {
+                        state.base.replay_fit(shape.decisions)?;
                     }
                 }
             }
         }
-        // Rebuild the in-flight set (dispatched, not completed — in dispatch
-        // order) and verify it, and the clock, against the checkpoint's
-        // redundant copies.
-        let completed_set: Vec<bool> = {
-            let mut done = vec![false; nd];
-            for event in &ckpt.schedule {
-                if let ScheduleEvent::Complete(i) = *event {
-                    done[i] = true;
-                }
-            }
-            done
-        };
-        for i in 0..nd {
-            if !completed_set[i] {
-                let choice = choices[i];
-                let secs = sim.stage_seconds(space, choice.config, choice.stage);
-                state.pending.push(InFlight {
-                    seq: i,
-                    choice,
-                    finish_at: dispatch_clock[i] + secs,
-                });
-            }
-        }
-        let replayed: Vec<[u64; 2]> = state
-            .pending
-            .iter()
-            .map(|run| [run.seq as u64, run.finish_at.to_bits()])
-            .collect();
-        if replayed != ckpt.in_flight || state.clock.now().to_bits() != ckpt.sim_seconds_bits {
+        if state.in_flight() != ckpt.in_flight
+            || state.clock.now().to_bits() != ckpt.sim_seconds_bits
+        {
             return Err(CmmfError::Checkpoint {
                 reason: "replayed schedule diverges from the recorded in-flight \
                          set — was this checkpoint written under a different \
@@ -576,80 +529,80 @@ impl<'a> AsyncState<'a> {
         Ok(state)
     }
 
-    /// Structural validation of a checkpoint's event log: dispatch indices
-    /// appear once each, in order; completions follow their dispatches and
-    /// number `completed`; nothing is dispatched after pool exhaustion.
-    fn validate_schedule(
-        ckpt: &RunCheckpoint,
-        nd: usize,
-        completed: usize,
-    ) -> Result<(), CmmfError> {
-        let mut next_dispatch = 0usize;
-        let mut done = vec![false; nd];
-        let mut n_complete = 0usize;
-        let mut exhausted = false;
+    /// Structural validation of a checkpoint's event log under `policy`:
+    /// dispatch indices appear once each, in order; completions follow their
+    /// dispatches; nothing is dispatched after pool exhaustion; a barrier
+    /// decision opens only with nothing in flight and ends fully observed;
+    /// and the completion phases number `completed_steps`. Returns the
+    /// decision structure the log implies: under refill every dispatch is
+    /// its own decision, under the barrier policy a decision is a maximal run
+    /// of consecutive dispatches.
+    fn read_schedule(ckpt: &RunCheckpoint, policy: Policy) -> Result<LogShape, CmmfError> {
+        let nd = ckpt.dispatches.len();
         let malformed = |reason: &str| CmmfError::Checkpoint {
             reason: format!("malformed schedule: {reason}"),
         };
+        let mut shape = LogShape {
+            step_of: Vec::with_capacity(nd),
+            decisions: 0,
+            exhausted: false,
+        };
+        let mut done = vec![false; nd];
+        let mut n_complete = 0usize;
+        let mut after_dispatch = false;
         for event in &ckpt.schedule {
             match *event {
                 ScheduleEvent::Dispatch(i) => {
-                    if exhausted {
+                    if shape.exhausted {
                         return Err(malformed("dispatch after pool exhaustion"));
                     }
-                    if i != next_dispatch || i >= nd {
+                    if i != shape.step_of.len() || i >= nd {
                         return Err(malformed("dispatch indices out of order"));
                     }
-                    next_dispatch += 1;
+                    let barrier = matches!(policy, Policy::Barrier(_));
+                    if !(barrier && after_dispatch) {
+                        if barrier && n_complete != i {
+                            return Err(malformed("barrier decision with runs in flight"));
+                        }
+                        shape.decisions += 1;
+                    }
+                    shape.step_of.push(shape.decisions - 1);
                 }
                 ScheduleEvent::Complete(i) => {
-                    if i >= next_dispatch || done[i] {
+                    if i >= shape.step_of.len() || done[i] {
                         return Err(malformed("completion without a matching dispatch"));
                     }
                     done[i] = true;
                     n_complete += 1;
                 }
                 ScheduleEvent::Exhausted => {
-                    if exhausted {
+                    if shape.exhausted {
                         return Err(malformed("repeated pool exhaustion"));
                     }
-                    exhausted = true;
+                    shape.exhausted = true;
                 }
             }
+            after_dispatch = matches!(event, ScheduleEvent::Dispatch(_));
         }
-        if next_dispatch != nd || n_complete != completed {
+        let phases = match policy {
+            Policy::Barrier(_) if n_complete == nd => Some(shape.decisions),
+            Policy::Barrier(_) => None,
+            Policy::Refill(_) => Some(n_complete),
+        };
+        if shape.step_of.len() != nd || phases != Some(ckpt.completed_steps) {
             return Err(malformed(
                 "event counts disagree with the dispatch list and completed_steps",
             ));
         }
-        Ok(())
+        Ok(shape)
     }
 }
 
-/// Index of the minimum of `items` under the `(f64, usize)` key (total order
-/// via `total_cmp`, ties to the lower index key) — the deterministic
-/// "earliest finish" rule. `None` on empty input.
-fn earliest_by<T>(items: &[T], key: impl Fn(&T) -> (f64, usize)) -> Option<usize> {
-    let mut best: Option<(usize, (f64, usize))> = None;
-    for (i, item) in items.iter().enumerate() {
-        let k = key(item);
-        let better = match &best {
-            None => true,
-            Some((_, b)) => k.0.total_cmp(&b.0).then(k.1.cmp(&b.1)).is_lt(),
-        };
-        if better {
-            best = Some((i, k));
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
-impl AsyncOptimizer {
-    /// Creates an asynchronous optimizer with the given configuration;
-    /// [`CmmfConfig::async_slots`] sets the number of concurrent simulated
-    /// tool runs (0 behaves like 1).
+impl Optimizer {
+    /// Creates an optimizer with the given configuration; its
+    /// [`CmmfConfig::async_slots`] selects the dispatch policy.
     pub fn new(cfg: CmmfConfig) -> Self {
-        AsyncOptimizer { cfg }
+        Optimizer { cfg }
     }
 
     /// The configuration.
@@ -657,18 +610,24 @@ impl AsyncOptimizer {
         &self.cfg
     }
 
-    /// Runs the asynchronous loop to completion on the virtual clock.
+    /// Runs Algorithm 2 on `space`, evaluating configurations with `sim`.
     ///
-    /// [`RunResult::sim_seconds`] is the *makespan* — the virtual-clock time
-    /// at which the last run finished — so overlapping schedules report less
-    /// simulated time than the sequential loop for the same number of
-    /// evaluations. With `async_slots <= 1` the result is bit-identical to
-    /// [`Optimizer::run`](crate::Optimizer::run).
+    /// The run executes on a thread pool of [`CmmfConfig::threads`] workers
+    /// (0 = all hardware threads); the result is bit-identical for any
+    /// thread count. [`RunResult::sim_seconds`] is the virtual-clock
+    /// *makespan*: overlapping schedules (`async_slots > 1`, or
+    /// `batch_size > 1`) report less simulated time than a serialized run of
+    /// the same number of evaluations.
     ///
     /// # Examples
     ///
+    /// The quickstart flow — build a benchmark's pruned directive space, wrap
+    /// the three-stage flow simulator, and optimize (shrunk here so the
+    /// doctest stays fast; see `examples/quickstart.rs` for paper-scale
+    /// settings):
+    ///
     /// ```
-    /// use cmmf::{AsyncOptimizer, CmmfConfig};
+    /// use cmmf::{CmmfConfig, Optimizer};
     /// use fidelity_sim::{FlowSimulator, SimParams};
     /// use hls_model::benchmarks::{self, Benchmark};
     ///
@@ -678,7 +637,6 @@ impl AsyncOptimizer {
     ///
     /// let mut cfg = CmmfConfig {
     ///     n_iter: 2,
-    ///     async_slots: 2,
     ///     candidate_pool: 15,
     ///     mc_samples: 8,
     ///     final_prediction_pool: 100,
@@ -687,98 +645,150 @@ impl AsyncOptimizer {
     /// cfg.gp.restarts = 0;
     /// cfg.gp.max_evals = 40;
     ///
-    /// let result = AsyncOptimizer::new(cfg).run(&space, &sim)?;
+    /// let result = Optimizer::new(cfg.clone()).run(&space, &sim)?;
     /// assert_eq!(result.candidate_set.len(), 2);
-    /// assert!(result.sim_seconds > 0.0);
+    /// assert!(!result.measured_pareto.is_empty());
+    ///
+    /// // Two tool licenses kept busy by the refill policy: same budget,
+    /// // shorter makespan.
+    /// cfg.async_slots = 2;
+    /// let overlapped = Optimizer::new(cfg).run(&space, &sim)?;
+    /// assert_eq!(overlapped.candidate_set.len(), 2);
+    /// assert!(overlapped.sim_seconds <= result.sim_seconds);
     /// # Ok(())
     /// # }
     /// ```
     ///
     /// # Errors
     ///
-    /// Same as [`Optimizer::run`](crate::Optimizer::run).
+    /// * [`CmmfError::SpaceTooSmall`] if the space cannot host the
+    ///   initialization plus one iteration.
+    /// * [`CmmfError::InvalidConfig`] if `batch_size > 1` is combined with
+    ///   `async_slots > 0`.
+    /// * [`CmmfError::Model`] if surrogate fitting fails irrecoverably.
     pub fn run(&self, space: &DesignSpace, sim: &FlowSimulator) -> Result<RunResult, CmmfError> {
-        with_pool(self.cfg.threads, || {
-            let mut state = AsyncState::start(&self.cfg, space, sim)?;
-            state.drive(None, usize::MAX)?;
-            state.base.finish()
-        })
+        self.drive(|| EventLoop::start(&self.cfg, space, sim), None)
     }
 
-    /// Runs initialization plus at most `completions` BO completions and
-    /// returns the checkpoint — possibly mid-overlap, with runs still in
-    /// flight (recorded in [`RunCheckpoint::in_flight`]). The deterministic
-    /// "kill after k completions" primitive behind the resume tests.
+    /// Runs initialization plus at most `steps` completion phases — steps
+    /// under the barrier policy, completions under refill — and returns the
+    /// checkpoint, possibly mid-overlap with runs still in flight (recorded
+    /// in [`RunCheckpoint::in_flight`]). The deterministic "kill after k"
+    /// primitive behind the resume tests and the CI smoke; `steps` is
+    /// clamped to [`CmmfConfig::n_iter`].
     ///
     /// # Errors
     ///
-    /// Same as [`Optimizer::run`](crate::Optimizer::run).
+    /// Same as [`Optimizer::run`].
     pub fn run_until(
         &self,
         space: &DesignSpace,
         sim: &FlowSimulator,
-        completions: usize,
+        steps: usize,
     ) -> Result<RunCheckpoint, CmmfError> {
         with_pool(self.cfg.threads, || {
-            let mut state = AsyncState::start(&self.cfg, space, sim)?;
-            state.drive(None, completions)?;
+            let mut state = EventLoop::start(&self.cfg, space, sim)?;
+            state.drive(None, steps)?;
             Ok(state.checkpoint())
         })
     }
 
-    /// Resumes an asynchronous checkpoint and drives it to completion; the
-    /// result is bit-identical to the uninterrupted run (pinned by
-    /// `async_resume_is_bit_identical`, including kills mid-overlap).
+    /// Resumes a checkpointed run and drives it to completion. The result is
+    /// bit-identical to the uninterrupted run that would have produced the
+    /// same checkpoint (pinned by `resume_is_bit_identical` and
+    /// `async_resume_is_bit_identical`, including kills mid-overlap): the
+    /// recorded decisions are replayed through the deterministic simulator
+    /// and GP fits, then the loop continues from the recorded RNG position.
+    ///
+    /// The configuration must match the one that wrote the checkpoint
+    /// (fingerprinted; `threads`, `arena`, `tracer`, `warm_start_hyperopt`
+    /// and `mixed_precision` may differ), and `space`/`sim` must be the same
+    /// design space and simulator.
     ///
     /// # Errors
     ///
-    /// * [`CmmfError::Checkpoint`] if the checkpoint's version, fingerprint
-    ///   (which pins `async_slots`), or shape does not match, if it was
-    ///   written by the sequential optimizer, or if the replayed schedule
-    ///   diverges from the recorded in-flight set (wrong simulator or space).
-    /// * Everything [`Optimizer::run`](crate::Optimizer::run) can return.
+    /// * [`CmmfError::Checkpoint`] if the checkpoint's fingerprint (which
+    ///   pins the dispatch policy) or shape does not match this
+    ///   configuration and space, or if the replayed schedule diverges from
+    ///   the recorded in-flight set (wrong simulator or space).
+    /// * Everything [`Optimizer::run`] can return.
     pub fn resume(
         &self,
         ckpt: &RunCheckpoint,
         space: &DesignSpace,
         sim: &FlowSimulator,
     ) -> Result<RunResult, CmmfError> {
-        with_pool(self.cfg.threads, || {
-            let mut state = AsyncState::restore(&self.cfg, space, sim, ckpt)?;
-            state.drive(None, usize::MAX)?;
-            state.base.finish()
-        })
+        self.drive(|| EventLoop::restore(&self.cfg, space, sim, ckpt), None)
     }
 
-    /// Runs like [`AsyncOptimizer::run`], but checkpoints to `path` after
-    /// every completion (atomic write) and — if `path` already holds a
-    /// checkpoint — resumes from it instead of starting over.
+    /// Runs like [`Optimizer::run`], but checkpoints to `path` after every
+    /// completion phase (atomic write) and — if `path` already holds a
+    /// checkpoint — resumes from it instead of starting over. The crash
+    /// recovery loop of a long sweep is therefore just "run the same command
+    /// again".
     ///
     /// # Errors
     ///
-    /// Same as [`AsyncOptimizer::resume`] plus checkpoint I/O errors.
+    /// * [`CmmfError::Checkpoint`] if an existing checkpoint at `path` cannot
+    ///   be read or does not match this configuration, or if a checkpoint
+    ///   cannot be written.
+    /// * Everything [`Optimizer::run`] can return.
     pub fn run_with_checkpoints(
         &self,
         space: &DesignSpace,
         sim: &FlowSimulator,
         path: &Path,
     ) -> Result<RunResult, CmmfError> {
+        let cfg = &self.cfg;
+        self.drive(
+            || {
+                if path.exists() {
+                    EventLoop::restore(cfg, space, sim, &RunCheckpoint::load(path)?)
+                } else {
+                    EventLoop::start(cfg, space, sim)
+                }
+            },
+            Some(path),
+        )
+    }
+
+    /// On the run's thread pool: builds the state, drives it to the end
+    /// (checkpointing to `ckpt_path` when set), and finishes.
+    fn drive<'s>(
+        &self,
+        state: impl FnOnce() -> Result<EventLoop<'s>, CmmfError>,
+        ckpt_path: Option<&Path>,
+    ) -> Result<RunResult, CmmfError> {
         with_pool(self.cfg.threads, || {
-            let mut state = if path.exists() {
-                AsyncState::restore(&self.cfg, space, sim, &RunCheckpoint::load(path)?)?
-            } else {
-                AsyncState::start(&self.cfg, space, sim)?
-            };
-            state.drive(Some(path), usize::MAX)?;
-            state.base.finish()
+            let mut state = state()?;
+            state.drive(ckpt_path, usize::MAX)?;
+            state.finish()
         })
     }
+}
+
+/// Runs `f` on a dedicated rayon pool of `threads` workers. `threads == 0`
+/// inherits the ambient rayon default (an enclosing `ThreadPool::install`,
+/// `build_global`, or the hardware parallelism) so harness binaries can set a
+/// process-wide `--threads` once.
+fn with_pool<T>(threads: usize, f: impl FnOnce() -> Result<T, CmmfError>) -> Result<T, CmmfError> {
+    let n = if threads == 0 {
+        rayon::current_num_threads()
+    } else {
+        threads
+    };
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(n)
+        .build()
+        .map_err(|e| CmmfError::Internal {
+            reason: format!("thread pool: {e}"),
+        })?;
+    pool.install(f)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::Optimizer;
     use gp::GpConfig;
     use hls_model::benchmarks::{self, Benchmark};
 
@@ -821,21 +831,16 @@ mod tests {
         assert_eq!(a.hv_history, b.hv_history, "{label}: hv_history");
     }
 
-    /// One slot fully serializes the schedule, reproducing the sequential
-    /// optimizer bit-for-bit (and `async_slots: 0` behaves like 1).
+    /// Both policies fully serialize the flow at one run per decision:
+    /// refill with one slot reproduces the barrier policy at `batch_size = 1`
+    /// (Algorithm 2) bit-for-bit.
     #[test]
-    fn async_k1_matches_sequential_bitwise() {
+    fn refill_k1_matches_barrier_bitwise() {
         let (space, sim) = setup(Benchmark::SpmvCrs);
-        let seq = Optimizer::new(quick_cfg(7, 1)).run(&space, &sim).unwrap();
-        let k1 = AsyncOptimizer::new(quick_cfg(7, 1))
-            .run(&space, &sim)
-            .unwrap();
-        assert_same_result(&seq, &k1, "k=1");
-        let k0 = AsyncOptimizer::new(quick_cfg(7, 0))
-            .run(&space, &sim)
-            .unwrap();
-        // async_slots is fingerprinted but result-transparent at <= 1.
-        assert_same_result(&k1, &k0, "k=0");
+        let barrier = Optimizer::new(quick_cfg(7, 0)).run(&space, &sim).unwrap();
+        let k1 = Optimizer::new(quick_cfg(7, 1)).run(&space, &sim).unwrap();
+        // async_slots is fingerprinted but result-transparent here.
+        assert_same_result(&barrier, &k1, "k=1");
     }
 
     /// The schedule depends only on the seed and the cost model — never on
@@ -920,9 +925,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// Fingerprint and kind mismatches fail loudly: a different slot count,
-    /// or crossing a checkpoint between the sequential and asynchronous
-    /// optimizers.
+    /// Fingerprint mismatches fail loudly: a different slot count.
     #[test]
     fn async_checkpoint_rejects_mismatched_config() {
         let (space, sim) = setup(Benchmark::SpmvCrs);
@@ -935,50 +938,46 @@ mod tests {
             .resume(&ckpt, &space, &sim)
             .unwrap_err();
         assert!(matches!(err, CmmfError::Checkpoint { .. }), "{err}");
-
-        // Same config, wrong optimizer kind: sequential refuses async...
-        let err = Optimizer::new(quick_cfg(13, 2))
-            .resume(&ckpt, &space, &sim)
-            .unwrap_err();
-        assert!(
-            matches!(&err, CmmfError::Checkpoint { reason } if reason.contains("AsyncOptimizer")),
-            "{err}"
-        );
-        // ...and async refuses sequential.
-        let seq_ckpt = Optimizer::new(quick_cfg(13, 2))
-            .run_until(&space, &sim, 2)
-            .unwrap();
-        let err = AsyncOptimizer::new(quick_cfg(13, 2))
-            .resume(&seq_ckpt, &space, &sim)
-            .unwrap_err();
-        assert!(
-            matches!(&err, CmmfError::Checkpoint { reason } if reason.contains("sequential")),
-            "{err}"
-        );
     }
 
-    /// The virtual clock is the *only* clock the loops consult: every
-    /// `Stopwatch::start` in the loop sources is gated on the tracer being
-    /// enabled, so a `NullTracer` run reads no host time at all.
+    /// The virtual clock is the *only* clock the loop consults: every
+    /// `Stopwatch::start` anywhere in the crate's sources is gated on the
+    /// tracer being enabled, so a `NullTracer` run reads no host time at all.
+    /// Every `.rs` file under `src/` is scanned, so moving loop code between
+    /// files cannot slip past the gate.
     #[test]
     fn disabled_tracer_reads_no_host_clock() {
         // Built by concatenation so this test's own source lines never match
         // the needle.
         let needle = ["Stopwatch", "::start"].concat();
         let gated = format!("enabled().then({needle})");
-        for file in ["src/optimizer.rs", "src/scheduler.rs"] {
-            let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(file);
+        let src_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+        let mut files = vec![src_dir];
+        let mut scanned = 0;
+        while let Some(path) = files.pop() {
+            if path.is_dir() {
+                for entry in std::fs::read_dir(&path).unwrap() {
+                    files.push(entry.unwrap().path());
+                }
+                continue;
+            }
+            if path.extension().is_none_or(|e| e != "rs") {
+                continue;
+            }
+            scanned += 1;
             let src = std::fs::read_to_string(&path).unwrap();
             for (i, line) in src.lines().enumerate() {
                 let code = line.split("//").next().unwrap_or(line);
                 if code.contains(&needle) {
                     assert!(
                         code.contains(&gated),
-                        "{file}:{}: host-clock stopwatch must be gated on tracer.enabled()",
+                        "{}:{}: host-clock stopwatch must be gated on tracer.enabled()",
+                        path.display(),
                         i + 1
                     );
                 }
             }
         }
+        assert!(scanned >= 8, "only {scanned} source files scanned");
     }
 }

@@ -34,7 +34,7 @@
 use crate::error::ServeError;
 use crate::job::JobSpec;
 use crate::session::{persist_job, SessionPaths, SessionResult, SessionState};
-use cmmf::{AsyncOptimizer, CmmfError, Optimizer, TraceEvent, Tracer, TracerHandle};
+use cmmf::{Optimizer, TraceEvent, Tracer, TracerHandle};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::fs;
@@ -497,13 +497,7 @@ fn run_session(shared: &Arc<Shared>, key: &SessionKey, spec: &JobSpec) -> Result
     let mut cfg = spec.to_config();
     cfg.tracer = TracerHandle::new(Arc::new(tracer));
     let (space, sim) = spec.build_problem()?;
-    let ckpt = paths.checkpoint();
-    let result: Result<cmmf::RunResult, CmmfError> = if cfg.async_slots > 0 {
-        AsyncOptimizer::new(cfg).run_with_checkpoints(&space, &sim, &ckpt)
-    } else {
-        Optimizer::new(cfg).run_with_checkpoints(&space, &sim, &ckpt)
-    };
-    let result = result?;
+    let result = Optimizer::new(cfg).run_with_checkpoints(&space, &sim, &paths.checkpoint())?;
     SessionResult::from_run(&result).save(&paths.result())
 }
 

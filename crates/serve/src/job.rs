@@ -151,9 +151,10 @@ pub struct JobSpec {
     /// Simulator cross-fidelity divergence override, in `[0, 1]`. `None`
     /// keeps the benchmark's calibrated (or the spec default) value.
     pub divergence: Option<f64>,
-    /// Picks per step (>= 1).
+    /// Picks per step (>= 1; more than 1 only with `async_slots == 0`).
     pub batch: usize,
-    /// Asynchronous in-flight slots; 0 runs the sequential loop.
+    /// Asynchronous in-flight slots; 0 runs the barrier policy (`batch`
+    /// picks per step).
     pub async_slots: usize,
     /// Cross-step hyperopt warm starts.
     pub warm_start: bool,
@@ -195,6 +196,12 @@ impl JobSpec {
         }
         if self.batch == 0 {
             return Err(ServeError::invalid("batch must be at least 1"));
+        }
+        if self.batch > 1 && self.async_slots > 0 {
+            return Err(ServeError::invalid(format!(
+                "batch {} applies only without async_slots (got async_slots {})",
+                self.batch, self.async_slots
+            )));
         }
         if let Some(d) = self.divergence {
             if !(0.0..=1.0).contains(&d) {
@@ -522,6 +529,11 @@ mod tests {
         let mut bad = sample();
         bad.batch = 0;
         assert!(bad.validate().is_err());
+        // A barrier batch cannot ride on the refill policy.
+        let mut bad = sample();
+        bad.batch = 2;
+        bad.async_slots = 3;
+        assert!(matches!(bad.validate(), Err(ServeError::InvalidJob { .. })));
     }
 
     #[test]

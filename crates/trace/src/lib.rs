@@ -125,13 +125,15 @@ pub enum TraceEvent {
         /// Whether the design was valid at this stage.
         valid: bool,
     },
-    /// A simulated tool run entered the asynchronous scheduler (see
-    /// `AsyncOptimizer` in the core crate). All times are **virtual-clock**
-    /// simulated seconds, deterministic for a seed.
+    /// A simulated tool run entered the event-loop scheduler (see the core
+    /// crate's `scheduler` module; emitted under both dispatch policies). All
+    /// times are **virtual-clock** simulated seconds, deterministic for a
+    /// seed.
     RunDispatched {
         /// Global dispatch sequence number (initialization runs included).
         seq: usize,
-        /// BO dispatch index; `None` during initialization.
+        /// The BO decision (step) that dispatched it; `None` during
+        /// initialization.
         step: Option<usize>,
         /// Configuration index.
         config: usize,
@@ -149,7 +151,8 @@ pub enum TraceEvent {
     RunCompleted {
         /// Global dispatch sequence number of the completed run.
         seq: usize,
-        /// BO dispatch index; `None` during initialization.
+        /// The BO decision (step) that dispatched it; `None` during
+        /// initialization.
         step: Option<usize>,
         /// Configuration index.
         config: usize,

@@ -8,13 +8,17 @@
 //!          [--no-warm-start] [--mixed-precision]
 //! ```
 //!
-//! `--async-slots K` (K >= 1) switches to the asynchronous scheduler: up to K
-//! simulated tool runs stay in flight on a deterministic virtual clock, and
-//! the reported simulated time is the schedule's *makespan* (see
-//! ARCHITECTURE.md, "Scheduler & virtual clock"). `--checkpoint FILE` writes
-//! a resumable checkpoint after every BO step (or, async, every completion)
-//! and, if FILE already exists, resumes from it — re-running the same command
-//! after a kill continues the run bit-identically, even mid-overlap.
+//! Every run goes through one event loop on a deterministic virtual clock (see
+//! ARCHITECTURE.md, "Scheduler & virtual clock"). By default each step picks
+//! `--batch Q` configurations (1 by default) and waits for all of them; with
+//! `--async-slots K` (K >= 1) up to K simulated tool runs stay in flight
+//! instead, each finished run freeing its slot for a new pick. The two flags
+//! exclude each other (a run with both is refused). Whenever more than one
+//! run can be in flight, the reported simulated time is the schedule's
+//! *makespan*. `--checkpoint FILE` writes a resumable checkpoint after every
+//! step (with `--async-slots`, every completion) and, if FILE already exists,
+//! resumes from it — re-running the same command after a kill continues the
+//! run bit-identically, even mid-overlap.
 //! `--journal FILE` appends one JSON line per loop event (model fits,
 //! acquisition argmaxes, tool runs, dispatches/completions, front updates;
 //! see ARCHITECTURE.md, "Observability & resume"). On a checkpoint resume the
@@ -40,7 +44,7 @@
 //! 1 = HLS is badly misleading).
 
 use cmmf_hls::cli::{ArgStream, CliError, JobFlags};
-use cmmf_hls::cmmf::{AsyncOptimizer, JsonlTracer, Optimizer, TracerHandle};
+use cmmf_hls::cmmf::{JsonlTracer, Optimizer, TracerHandle};
 use cmmf_hls::fidelity_sim::{FlowSimulator, SimParams};
 use cmmf_hls::hls_model::spec;
 use std::path::PathBuf;
@@ -176,18 +180,10 @@ fn run(args: &Args) -> Result<(), String> {
             eprintln!("resuming from checkpoint {}", path.display());
         }
     }
-    let result = if args.job.async_slots > 0 {
-        let opt = AsyncOptimizer::new(cfg);
-        match &args.checkpoint {
-            Some(path) => opt.run_with_checkpoints(&space, &sim, path),
-            None => opt.run(&space, &sim),
-        }
-    } else {
-        let opt = Optimizer::new(cfg);
-        match &args.checkpoint {
-            Some(path) => opt.run_with_checkpoints(&space, &sim, path),
-            None => opt.run(&space, &sim),
-        }
+    let opt = Optimizer::new(cfg);
+    let result = match &args.checkpoint {
+        Some(path) => opt.run_with_checkpoints(&space, &sim, path),
+        None => opt.run(&space, &sim),
     }
     .map_err(|e| e.to_string())?;
 
@@ -195,7 +191,7 @@ fn run(args: &Args) -> Result<(), String> {
         "evaluated {} configurations in {:.1} simulated {}tool-hours",
         result.evaluated_configs.len(),
         result.sim_seconds / 3600.0,
-        if args.job.async_slots > 1 {
+        if args.job.async_slots > 1 || args.job.batch > 1 {
             "(makespan) "
         } else {
             ""

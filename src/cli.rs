@@ -171,10 +171,11 @@ pub struct JobFlags {
     pub variant: ModelVariant,
     /// Simulator cross-fidelity divergence (`--divergence`, in `[0, 1]`).
     pub divergence: f64,
-    /// Picks per step (`--batch`, >= 1).
+    /// Picks per step (`--batch`, >= 1; the optimizer refuses more than 1
+    /// together with `--async-slots`).
     pub batch: usize,
     /// Asynchronous in-flight slots (`--async-slots`, >= 1 when given;
-    /// 0 means the sequential loop).
+    /// 0 means the barrier policy, `batch` picks per step).
     pub async_slots: usize,
     /// Cross-step hyperopt warm starts (`--no-warm-start` clears it).
     pub warm_start: bool,
