@@ -99,10 +99,11 @@ fn run(dir: &std::path::Path) -> Result<(), String> {
     let text = std::fs::read_to_string(&journal_path).map_err(|e| e.to_string())?;
     let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
     check(!lines.is_empty(), "journal is non-empty")?;
-    const KINDS: [&str; 11] = [
+    const KINDS: [&str; 12] = [
         "run_started",
         "step_started",
         "model_fit",
+        "candidates_prepared",
         "acquisition_scored",
         "run_dispatched",
         "tool_run",

@@ -340,15 +340,7 @@ impl FidelityModelStack {
         for f in 1..N_FIDELITIES {
             // Lower-fidelity posterior means at this fidelity's inputs,
             // through the levels fitted so far.
-            let prevs: Vec<MultiTaskPrediction> = {
-                use rayon::prelude::*;
-                let (base, uppers) = (&base, &uppers[..]);
-                data.xs[f]
-                    .par_iter()
-                    .with_min_len(8)
-                    .map(|x| predict_nonlinear(base, uppers, f - 1, x, ws))
-                    .collect::<Result<_, _>>()?
-            };
+            let prevs = top_level(walk_chain(&base, &uppers, f - 1, &data.xs[f], ws)?)?;
             // Per-objective linear backbone.
             let mut rhos = vec![1.0; N_OBJECTIVES];
             for (obj, rho) in rhos.iter_mut().enumerate() {
@@ -538,7 +530,9 @@ impl FidelityModelStack {
     /// [`FidelityModelStack::predict`] with an explicit buffer arena: the
     /// correlated variants route every per-point triangular solve through
     /// `ws` (the independent variants' solves are single vectors and are left
-    /// alone). Bit-identical to [`FidelityModelStack::predict`].
+    /// alone). The non-linear chain runs the chain walk of
+    /// [`FidelityModelStack::predict_levels_in`] over the one point.
+    /// Bit-identical to [`FidelityModelStack::predict`].
     ///
     /// # Errors
     ///
@@ -549,14 +543,13 @@ impl FidelityModelStack {
         x: &[f64],
         ws: &Workspace,
     ) -> Result<MultiTaskPrediction, CmmfError> {
-        if f >= N_FIDELITIES {
-            return Err(CmmfError::Internal {
-                reason: format!("fidelity {f} out of range"),
-            });
-        }
+        check_fidelity(f)?;
         match self {
-            FidelityModelStack::CorrelatedNonlinear { base, uppers } => {
-                predict_nonlinear(base, uppers, f, x, ws)
+            FidelityModelStack::CorrelatedNonlinear { .. } => {
+                let mut preds = self.predict_batch_in(f, &[x.to_vec()], ws)?;
+                preds.pop().ok_or_else(|| CmmfError::Internal {
+                    reason: "chain walk returned no prediction for one query".into(),
+                })
             }
             FidelityModelStack::CorrelatedPlain(models) => Ok(models[f].predict_in(x, ws)?),
             FidelityModelStack::IndependentLinear(per_obj) => {
@@ -606,11 +599,9 @@ impl FidelityModelStack {
     ///
     /// The correlated variants gain real batching: the plain stack runs one
     /// chunked [`MultiTaskGp::predict_batch_in`], and the non-linear chain
-    /// propagates level-synchronously — all points' sigma points are stacked
-    /// into a single level-GP batch per level, so each traversal of a level's
-    /// `nM × nM` factor serves a wide column block instead of one sigma point
-    /// (see `propagate_unscented_batch`). The independent variants fall back
-    /// to the per-point path. Bit-identical to per-point prediction in every
+    /// runs the chain walk of [`FidelityModelStack::predict_levels_in`]
+    /// truncated at level `f`. The independent variants fall back to the
+    /// per-point path. Bit-identical to per-point prediction in every
     /// variant.
     ///
     /// # Errors
@@ -622,18 +613,10 @@ impl FidelityModelStack {
         xs: &[Vec<f64>],
         ws: &Workspace,
     ) -> Result<Vec<MultiTaskPrediction>, CmmfError> {
-        if f >= N_FIDELITIES {
-            return Err(CmmfError::Internal {
-                reason: format!("fidelity {f} out of range"),
-            });
-        }
+        check_fidelity(f)?;
         match self {
             FidelityModelStack::CorrelatedNonlinear { base, uppers } => {
-                let mut preds = base.predict_batch_in(xs, ws)?;
-                for level in uppers.iter().take(f) {
-                    preds = propagate_unscented_batch(level, xs, &preds, ws)?;
-                }
-                Ok(preds)
+                top_level(walk_chain(base, uppers, f, xs, ws)?)
             }
             FidelityModelStack::CorrelatedPlain(models) => Ok(models[f].predict_batch_in(xs, ws)?),
             FidelityModelStack::IndependentLinear(_)
@@ -641,6 +624,40 @@ impl FidelityModelStack {
                 xs.iter().map(|x| self.predict_in(f, x, ws)).collect()
             }
         }
+    }
+
+    /// Joint posteriors at *every* fidelity for many encoded inputs:
+    /// `levels[f][i]` is [`FidelityModelStack::predict_batch_in`]`(f, xs)[i]`,
+    /// bit for bit.
+    ///
+    /// The non-linear chain computes all fidelities in one chain walk: a
+    /// single parallel pass over fixed chunks of `xs`, each chunk running the
+    /// base GP batch, then every level's sigma points, level-GP batch and
+    /// moment matching for its own points before the next chunk, and keeping
+    /// each level's output as that fidelity's posterior. Every point costs one
+    /// base query and one unscented propagation per level, instead of the
+    /// `1 + 2 + 3` of three per-fidelity batches. The plain and independent
+    /// variants have no shared chain and predict each fidelity separately.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`FidelityModelStack::predict`].
+    pub fn predict_levels_in(
+        &self,
+        xs: &[Vec<f64>],
+        ws: &Workspace,
+    ) -> Result<[Vec<MultiTaskPrediction>; N_FIDELITIES], CmmfError> {
+        let levels = match self {
+            FidelityModelStack::CorrelatedNonlinear { base, uppers } => {
+                walk_chain(base, uppers, N_FIDELITIES - 1, xs, ws)?
+            }
+            _ => (0..N_FIDELITIES)
+                .map(|f| self.predict_batch_in(f, xs, ws))
+                .collect::<Result<_, _>>()?,
+        };
+        levels.try_into().map_err(|_| CmmfError::Internal {
+            reason: "chain walk returned the wrong number of fidelities".into(),
+        })
     }
 
     /// Learned objective-correlation matrix at fidelity `f`, if this stack is
@@ -703,50 +720,82 @@ impl FidelityModelStack {
     }
 }
 
-/// Pushes a Gaussian belief about the lower fidelity's objectives through one
-/// [`CorrelatedLevel`] with the unscented transform (λ = 1): sigma points of
-/// the lower posterior are mapped through `ρ ⊙ v + z([x, v])` and
-/// moment-matched. Without this, the chain's high-fidelity variance collapses
-/// and the acquisition stops escalating fidelities.
-/// Nonlinear-chain prediction at fidelity `f`: the base GP's posterior
-/// propagated through the first `f` correlated levels. Shared by
-/// [`FidelityModelStack::predict`] and the fit loop (which predicts through a
-/// partially built chain while fitting the next level, so it cannot hold a
-/// complete stack yet).
-fn predict_nonlinear(
-    base: &MultiTaskGp<Matern52Ard>,
-    uppers: &[CorrelatedLevel],
-    f: usize,
-    x: &[f64],
-    ws: &Workspace,
-) -> Result<MultiTaskPrediction, CmmfError> {
-    let mut pred = base.predict_in(x, ws)?;
-    for level in uppers.iter().take(f) {
-        pred = propagate_unscented(level, x, &pred, ws)?;
+/// Candidates per chunk of the chain walk ([`walk_chain`]).
+const WALK_CHUNK: usize = 8;
+
+fn check_fidelity(f: usize) -> Result<(), CmmfError> {
+    if f < N_FIDELITIES {
+        Ok(())
+    } else {
+        Err(CmmfError::Internal {
+            reason: format!("fidelity {f} out of range"),
+        })
     }
-    Ok(pred)
 }
 
-fn propagate_unscented(
-    level: &CorrelatedLevel,
-    x: &[f64],
-    lower: &MultiTaskPrediction,
+/// The chain walk of the non-linear stack: posteriors at fidelities
+/// `0..=top` for every point of `xs`, as `levels[f][i]`. One parallel pass
+/// over [`WALK_CHUNK`]-point chunks; each chunk runs the base GP batch and
+/// then [`propagate_unscented`] through the first `top` levels for its own
+/// points, keeping every level's output. `uppers` may be a partially built
+/// chain (the fit loop predicts through the levels fitted so far), in which
+/// case the walk stops at its last level.
+///
+/// Each point's result is the per-point computation: the per-query GP results
+/// do not depend on how queries are batched, and sigma construction and
+/// moment matching are per point, so the chunking never changes a bit.
+fn walk_chain(
+    base: &MultiTaskGp<Matern52Ard>,
+    uppers: &[CorrelatedLevel],
+    top: usize,
+    xs: &[Vec<f64>],
     ws: &Workspace,
-) -> Result<MultiTaskPrediction, CmmfError> {
-    let mut out = propagate_unscented_batch(level, &[x.to_vec()], std::slice::from_ref(lower), ws)?;
-    out.pop().ok_or_else(|| CmmfError::Internal {
-        reason: "unscented propagation returned no prediction for one query".into(),
+) -> Result<Vec<Vec<MultiTaskPrediction>>, CmmfError> {
+    use rayon::prelude::*;
+    let levels = &uppers[..top.min(uppers.len())];
+    let chunks: Vec<Vec<Vec<MultiTaskPrediction>>> = xs
+        .par_chunks(WALK_CHUNK)
+        .map(|chunk| {
+            let mut out = Vec::with_capacity(levels.len() + 1);
+            let mut preds = base.predict_batch_in(chunk, ws)?;
+            for level in levels {
+                let next = propagate_unscented(level, chunk, &preds, ws)?;
+                out.push(std::mem::replace(&mut preds, next));
+            }
+            out.push(preds);
+            Ok(out)
+        })
+        .collect::<Result<_, CmmfError>>()?;
+    let mut walked: Vec<Vec<MultiTaskPrediction>> = (0..=levels.len())
+        .map(|_| Vec::with_capacity(xs.len()))
+        .collect();
+    for chunk in chunks {
+        for (level, preds) in walked.iter_mut().zip(chunk) {
+            level.extend(preds);
+        }
+    }
+    Ok(walked)
+}
+
+/// The highest level of a [`walk_chain`] result.
+fn top_level(
+    mut walked: Vec<Vec<MultiTaskPrediction>>,
+) -> Result<Vec<MultiTaskPrediction>, CmmfError> {
+    walked.pop().ok_or_else(|| CmmfError::Internal {
+        reason: "chain walk returned no level".into(),
     })
 }
 
-/// Batched form of [`propagate_unscented`]: every query point's sigma points
-/// are stacked into one level-GP query list, so the expensive triangular
-/// solves against the level's `nM × nM` factor run as wide column blocks
-/// instead of one sweep per sigma point. The per-point sigma construction and
-/// moment-matching are the single-point code verbatim, and the batched level
-/// prediction is bitwise-pinned to its per-point form, so this is
-/// bit-identical to mapping [`propagate_unscented`] over the points.
-fn propagate_unscented_batch(
+/// Pushes Gaussian beliefs about the lower fidelity's objectives at `xs`
+/// through one [`CorrelatedLevel`] with the unscented transform (λ = 1):
+/// sigma points of each lower posterior are mapped through
+/// `ρ ⊙ v + z([x, v])` and moment-matched. Without this, the chain's
+/// high-fidelity variance collapses and the acquisition stops escalating
+/// fidelities. Every point's sigma points are stacked into one level-GP query
+/// list, so the triangular solves against the level's `nM × nM` factor run
+/// as wide column blocks instead of one sweep per sigma point; the batched
+/// level prediction is bitwise-pinned to its per-point form.
+fn propagate_unscented(
     level: &CorrelatedLevel,
     xs: &[Vec<f64>],
     lowers: &[MultiTaskPrediction],
@@ -885,10 +934,10 @@ mod tests {
 
     #[test]
     fn predict_batch_matches_predict_bitwise_in_every_variant() {
-        // The batched stack prediction (level-synchronous sigma-point
-        // stacking for the non-linear chain, chunked GP batches for the
-        // plain one) must reproduce the per-point path bit for bit — the
-        // optimizer's candidate caches are built through it.
+        // The batched stack prediction (the chunked chain walk for the
+        // non-linear stack, chunked GP batches for the plain one) must
+        // reproduce the per-point path bit for bit — the optimizer's
+        // candidate caches are built through it.
         let data = synthetic();
         let cfg = quick_cfg();
         let xs: Vec<Vec<f64>> = (0..7).map(|i| vec![0.05 + 0.13 * i as f64]).collect();
@@ -911,6 +960,65 @@ mod tests {
                                 "{} f={f}",
                                 variant.name()
                             );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn assert_same_bits(a: &MultiTaskPrediction, b: &MultiTaskPrediction, label: &str) {
+        assert_eq!(a.mean.len(), b.mean.len(), "{label}");
+        for (am, bm) in a.mean.iter().zip(&b.mean) {
+            assert_eq!(am.to_bits(), bm.to_bits(), "{label}");
+        }
+        for i in 0..N_OBJECTIVES {
+            for j in 0..N_OBJECTIVES {
+                assert_eq!(a.cov[(i, j)].to_bits(), b.cov[(i, j)].to_bits(), "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn predict_levels_matches_per_point_bitwise_in_every_variant() {
+        // The chain walk serves every fidelity from one chunked pass; each of
+        // its levels, and the walk truncated at a level, must equal per-point
+        // prediction bit for bit for any pool size (empty, one, either side
+        // of a chunk boundary, many chunks) and any thread count.
+        let data = synthetic();
+        let cfg = quick_cfg();
+        let pools: Vec<Vec<Vec<f64>>> = [0, 1, WALK_CHUNK - 1, WALK_CHUNK + 1, 200]
+            .iter()
+            .map(|&n| (0..n).map(|i| vec![(i as f64 * 0.377).fract()]).collect())
+            .collect();
+        let ws = Workspace::new();
+        for variant in all_variants() {
+            let stack = FidelityModelStack::fit(variant, &data, &cfg, None, FitMode::Optimize)
+                .unwrap_or_else(|e| panic!("{}: {e}", variant.name()));
+            for xs in &pools {
+                let per_point: Vec<Vec<MultiTaskPrediction>> = (0..N_FIDELITIES)
+                    .map(|f| xs.iter().map(|x| stack.predict(f, x).unwrap()).collect())
+                    .collect();
+                for threads in [1, 2] {
+                    let pool = rayon::ThreadPoolBuilder::new()
+                        .num_threads(threads)
+                        .build()
+                        .unwrap();
+                    let (levels, batches) = pool.install(|| {
+                        let levels = stack.predict_levels_in(xs, &ws).unwrap();
+                        let batches: Vec<Vec<MultiTaskPrediction>> = (0..N_FIDELITIES)
+                            .map(|f| stack.predict_batch_in(f, xs, &ws).unwrap())
+                            .collect();
+                        (levels, batches)
+                    });
+                    for f in 0..N_FIDELITIES {
+                        let label =
+                            format!("{} n={} threads={threads} f={f}", variant.name(), xs.len());
+                        assert_eq!(levels[f].len(), xs.len(), "{label}");
+                        assert_eq!(batches[f].len(), xs.len(), "{label}");
+                        for ((l, b), p) in levels[f].iter().zip(&batches[f]).zip(&per_point[f]) {
+                            assert_same_bits(l, p, &label);
+                            assert_same_bits(b, p, &label);
                         }
                     }
                 }

@@ -412,17 +412,27 @@ impl<'a> LoopState<'a> {
 
         // Fantasy fronts: the observed fronts augmented with the pending
         // runs' posterior means under the new stack, in dispatch order.
-        for &(config, stage) in pending {
+        let pending_xs: Vec<Vec<f64>> = pending
+            .iter()
+            .map(|&(config, _)| self.space.encode(config))
+            .collect();
+        let mut pending_levels = new_stack.predict_levels_in(&pending_xs, &self.ws)?;
+        for (i, &(_, stage)) in pending.iter().enumerate() {
             let fi = stage.index();
-            let x = self.space.encode(config);
-            let mean = new_stack.predict_in(fi, &x, &self.ws)?.mean;
+            let mean = std::mem::take(&mut pending_levels[fi][i].mean);
             fantasy[fi] = merge_into_front(&fantasy[fi], mean);
         }
 
+        let prepare_started = tracer.enabled().then(Stopwatch::start);
         let Some(prep) = self.prepare_candidates(&new_stack)? else {
             self.stack = Some(new_stack);
             return Ok(None);
         };
+        tracer.emit(|| TraceEvent::CandidatesPrepared {
+            step: t,
+            candidates: prep.pool.len(),
+            seconds: prepare_started.map_or(0.0, |s| s.seconds()),
+        });
         // Acquisition scorers, one per fidelity: the fantasy front's cell
         // decomposition is built once *outside* the per-candidate fan-out and
         // shared by every candidate and MC draw; rebuilt only when a pick's
@@ -557,13 +567,10 @@ impl<'a> LoopState<'a> {
             .with_min_len(8)
             .map(|&c| space.encode(c))
             .collect();
-        // One batched stack prediction per fidelity (wide column blocks per
-        // factor traversal), transposed back to the per-candidate layout the
-        // scorers index. Bit-identical to per-candidate `predict_in` calls.
-        let ws = &self.ws;
-        let f0 = stack.predict_batch_in(0, &encoded, ws)?;
-        let f1 = stack.predict_batch_in(1, &encoded, ws)?;
-        let f2 = stack.predict_batch_in(2, &encoded, ws)?;
+        // Every fidelity's posterior from one chain walk over the pool,
+        // transposed back to the per-candidate layout the scorers index.
+        // Bit-identical to per-candidate `predict_in` calls.
+        let [f0, f1, f2] = stack.predict_levels_in(&encoded, &self.ws)?;
         let preds: Vec<Vec<MultiTaskPrediction>> = f0
             .into_iter()
             .zip(f1)

@@ -91,6 +91,16 @@ pub enum TraceEvent {
         /// multi-start.
         warm_start_misses: usize,
     },
+    /// A decision's candidate pool was drawn and every candidate's posterior
+    /// at every fidelity computed (the caches its batch slots score from).
+    CandidatesPrepared {
+        /// Step index.
+        step: usize,
+        /// Candidates in the pool.
+        candidates: usize,
+        /// Wall seconds spent preparing the pool.
+        seconds: f64,
+    },
     /// One batch slot's acquisition argmax finished.
     AcquisitionScored {
         /// Step index.
@@ -206,6 +216,7 @@ impl TraceEvent {
         match self {
             TraceEvent::StepStarted { step, .. }
             | TraceEvent::ModelFit { step, .. }
+            | TraceEvent::CandidatesPrepared { step, .. }
             | TraceEvent::AcquisitionScored { step, .. }
             | TraceEvent::FrontUpdated { step, .. }
             | TraceEvent::CheckpointWritten { step, .. } => Some(*step),
@@ -223,6 +234,7 @@ impl TraceEvent {
             TraceEvent::RunStarted { .. } => "run_started",
             TraceEvent::StepStarted { .. } => "step_started",
             TraceEvent::ModelFit { .. } => "model_fit",
+            TraceEvent::CandidatesPrepared { .. } => "candidates_prepared",
             TraceEvent::AcquisitionScored { .. } => "acquisition_scored",
             TraceEvent::ToolRun { .. } => "tool_run",
             TraceEvent::RunDispatched { .. } => "run_dispatched",
@@ -268,6 +280,14 @@ impl TraceEvent {
                 ",\"step\":{step},\"fit_mode\":\"{fit_mode}\",\"seconds\":{},\
                  \"nll_evals\":{nll_evals},\"restarts_run\":{restarts_run},\
                  \"warm_start_hits\":{warm_start_hits},\"warm_start_misses\":{warm_start_misses}",
+                num(*seconds)
+            ),
+            TraceEvent::CandidatesPrepared {
+                step,
+                candidates,
+                seconds,
+            } => format!(
+                ",\"step\":{step},\"candidates\":{candidates},\"seconds\":{}",
                 num(*seconds)
             ),
             TraceEvent::AcquisitionScored {
@@ -796,6 +816,9 @@ pub struct StepMetrics {
     pub warm_start_hits: usize,
     /// Warm-seeded searches that still ran the cold multi-start this step.
     pub warm_start_misses: usize,
+    /// Wall seconds spent preparing the step's candidate pool (drawing it and
+    /// computing every candidate's posteriors).
+    pub prepare_seconds: f64,
     /// Wall seconds spent in acquisition scoring, summed over batch slots.
     pub scoring_seconds: f64,
     /// `(config, fidelity)` picks of the step, in slot order.
@@ -845,6 +868,10 @@ pub fn aggregate_step_metrics(events: &[TraceEvent]) -> Vec<StepMetrics> {
                 steps[i].restarts_run += restarts_run;
                 steps[i].warm_start_hits += warm_start_hits;
                 steps[i].warm_start_misses += warm_start_misses;
+            }
+            TraceEvent::CandidatesPrepared { step, seconds, .. } => {
+                let i = at(*step, &mut steps);
+                steps[i].prepare_seconds += seconds;
             }
             TraceEvent::AcquisitionScored {
                 step,
@@ -911,6 +938,11 @@ mod tests {
                 restarts_run: 2,
                 warm_start_hits: 1,
                 warm_start_misses: 0,
+            },
+            TraceEvent::CandidatesPrepared {
+                step: 0,
+                candidates: 40,
+                seconds: 0.0625,
             },
             TraceEvent::AcquisitionScored {
                 step: 0,
@@ -995,6 +1027,7 @@ mod tests {
             r#"{"event":"tool_run","step":null,"config":7,"stage":"impl","seconds":1500.0,"valid":true}"#,
             r#"{"event":"step_started","step":0,"observed":[8,5,3]}"#,
             r#"{"event":"model_fit","step":0,"fit_mode":"optimize","seconds":0.25,"nll_evals":900,"restarts_run":2,"warm_start_hits":1,"warm_start_misses":0}"#,
+            r#"{"event":"candidates_prepared","step":0,"candidates":40,"seconds":0.0625}"#,
             r#"{"event":"acquisition_scored","step":0,"slot":0,"config":42,"fidelity":1,"candidates":40,"eipv":0.125,"penalized":0.5,"seconds":0.03125}"#,
             r#"{"event":"tool_run","step":0,"config":42,"stage":"hls","seconds":30.0,"valid":true}"#,
             r#"{"event":"tool_run","step":0,"config":42,"stage":"syn","seconds":240.0,"valid":false}"#,
@@ -1006,6 +1039,7 @@ mod tests {
             r#"{"event":"run_finished","steps":2,"sim_seconds":1770.0,"pareto_points":5}"#,
             r#"{"event":"repeat_finished","repeat":0,"adrs":0.0625,"sim_seconds":1770.0}"#,
         ];
+        assert_eq!(golden.len(), sample_events().len());
         for (ev, want) in sample_events().iter().zip(golden) {
             assert_eq!(ev.to_json(), want);
         }
@@ -1020,6 +1054,21 @@ mod tests {
                 Some(ev.kind())
             );
         }
+    }
+
+    #[test]
+    fn candidates_prepared_round_trips_through_json() {
+        let ev = TraceEvent::CandidatesPrepared {
+            step: 3,
+            candidates: 1000,
+            seconds: 0.1,
+        };
+        let doc = json::parse(&ev.to_json()).unwrap();
+        let field = |key: &str| doc.get(key).and_then(json::JsonValue::as_f64);
+        assert_eq!(field("step"), Some(3.0));
+        assert_eq!(field("candidates"), Some(1000.0));
+        assert_eq!(field("seconds").map(f64::to_bits), Some(0.1f64.to_bits()));
+        assert_eq!(ev.step(), Some(3));
     }
 
     #[test]
@@ -1223,6 +1272,7 @@ mod tests {
         assert_eq!(s0.restarts_run, 2);
         assert_eq!(s0.warm_start_hits, 1);
         assert_eq!(s0.warm_start_misses, 0);
+        assert_eq!(s0.prepare_seconds, 0.0625);
         assert_eq!(s0.scoring_seconds, 0.03125);
         assert_eq!(s0.picks, vec![(42, 1)]);
         assert_eq!(s0.candidates_scored, 40);
