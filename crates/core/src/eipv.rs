@@ -62,6 +62,14 @@ pub fn eipv_correlated_mc(
 /// count) is what makes the estimate independent of how many threads run it.
 const MC_CHUNK: usize = 32;
 
+/// Fewest `MC_CHUNK`-sample chunks a thread takes before [`mc_seeded`] fans
+/// out. Measured on a 2-core host with a 3-objective posterior: below about
+/// 16 chunks in all (512 samples) a second thread's spawn costs more than it
+/// saves (a 64-sample call took ~40 µs at 2 threads against ~11 µs at 1), and
+/// from 32 chunks on 2 threads won by 1.3–1.7×. So a call fans out only once
+/// every thread gets at least this many chunks.
+const MC_MIN_CHUNKS_PER_THREAD: usize = 16;
+
 /// Seeded, parallel variant of [`eipv_correlated_mc`].
 ///
 /// The `n_samples` draws are split into fixed-size chunks of `MC_CHUNK`;
@@ -160,7 +168,9 @@ impl EipvScorer {
 /// Chunked, seeded parallel Monte-Carlo average of `contribution` over the
 /// posterior. Chunk `k` draws from `derive_stream_seed(seed, &[k])`; partial
 /// sums combine in chunk order, so the estimate is bit-identical for any
-/// thread count. Shared driver of the naive and indexed seeded estimators.
+/// thread count. Fans out only when every thread gets at least
+/// `MC_MIN_CHUNKS_PER_THREAD` chunks. Shared driver of the naive and indexed
+/// seeded estimators.
 fn mc_seeded(
     pred: &MultiTaskPrediction,
     chol: Option<&Cholesky>,
@@ -176,6 +186,7 @@ fn mc_seeded(
     let n_chunks = n_samples.div_ceil(MC_CHUNK);
     let total: f64 = (0..n_chunks)
         .into_par_iter()
+        .with_min_len(MC_MIN_CHUNKS_PER_THREAD)
         .map(|k| {
             let mut rng = StdRng::seed_from_u64(rand::derive_stream_seed(seed, &[k as u64]));
             let take = MC_CHUNK.min(n_samples - k * MC_CHUNK);
@@ -186,9 +197,10 @@ fn mc_seeded(
 }
 
 /// Sums `n_samples` improvement draws from the posterior using the caller's
-/// RNG and contribution oracle. Shared core of every MC estimator here; the
-/// draw sequence depends only on the RNG and the posterior, never on the
-/// oracle, so the naive and indexed paths see identical samples.
+/// RNG and contribution oracle, reusing one draw buffer for the whole call.
+/// Shared core of every MC estimator here; the draw sequence depends only on
+/// the RNG and the posterior, never on the oracle, so the naive and indexed
+/// paths see identical samples.
 fn mc_improvement_sum(
     pred: &MultiTaskPrediction,
     chol: Option<&Cholesky>,
@@ -199,21 +211,24 @@ fn mc_improvement_sum(
     let m = pred.mean.len();
     let mut total = 0.0;
     let mut z = vec![0.0; m];
+    let mut y = vec![0.0; m];
     for _ in 0..n_samples {
         for zi in z.iter_mut() {
             *zi = sample_standard_normal(rng);
         }
-        let y: Vec<f64> = match chol {
+        match chol {
             Some(c) => {
                 let l = c.l();
-                (0..m)
-                    .map(|i| pred.mean[i] + (0..=i).map(|j| l[(i, j)] * z[j]).sum::<f64>())
-                    .collect()
+                for (i, yi) in y.iter_mut().enumerate() {
+                    *yi = pred.mean[i] + (0..=i).map(|j| l[(i, j)] * z[j]).sum::<f64>();
+                }
             }
-            None => (0..m)
-                .map(|i| pred.mean[i] + pred.cov[(i, i)].max(0.0).sqrt() * z[i])
-                .collect(),
-        };
+            None => {
+                for (i, yi) in y.iter_mut().enumerate() {
+                    *yi = pred.mean[i] + pred.cov[(i, i)].max(0.0).sqrt() * z[i];
+                }
+            }
+        }
         total += contribution(&y);
     }
     total
@@ -505,23 +520,27 @@ mod tests {
         let p = pred(vec![0.4, 0.4], cov);
         let scorer = EipvScorer::new(&front, &reference);
         let chol = Cholesky::new(&p.cov).ok();
-        let eval = |threads: usize| {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            pool.install(|| scorer.eipv_mc_seeded(&p, chol.as_ref(), 100, 42))
-        };
-        let serial = eval(1);
-        for threads in [2, 4, 7] {
-            let parallel = eval(threads);
-            assert_eq!(
-                serial.to_bits(),
-                parallel.to_bits(),
-                "threads={threads}: {serial} vs {parallel}"
-            );
+        // 100 samples run serially at any thread count (below the fan-out
+        // floor); 4096 samples (128 chunks) fan out onto every thread.
+        for n_samples in [100, 4096] {
+            let eval = |threads: usize| {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                pool.install(|| scorer.eipv_mc_seeded(&p, chol.as_ref(), n_samples, 42))
+            };
+            let serial = eval(1);
+            for threads in [2, 4, 7] {
+                let parallel = eval(threads);
+                assert_eq!(
+                    serial.to_bits(),
+                    parallel.to_bits(),
+                    "n={n_samples} threads={threads}: {serial} vs {parallel}"
+                );
+            }
+            assert!(serial > 0.0);
         }
-        assert!(serial > 0.0);
     }
 
     #[test]
@@ -550,23 +569,27 @@ mod tests {
         cov[(0, 1)] = 0.01;
         cov[(1, 0)] = 0.01;
         let p = pred(vec![0.4, 0.4], cov);
-        let eval = |threads: usize| {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            pool.install(|| eipv_correlated_mc_seeded(&p, &front, &reference, 100, 42))
-        };
-        let serial = eval(1);
-        for threads in [2, 4, 7] {
-            let parallel = eval(threads);
-            assert_eq!(
-                serial.to_bits(),
-                parallel.to_bits(),
-                "threads={threads}: {serial} vs {parallel}"
-            );
+        // 100 samples run serially at any thread count (below the fan-out
+        // floor); 4096 samples (128 chunks) fan out onto every thread.
+        for n_samples in [100, 4096] {
+            let eval = |threads: usize| {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                pool.install(|| eipv_correlated_mc_seeded(&p, &front, &reference, n_samples, 42))
+            };
+            let serial = eval(1);
+            for threads in [2, 4, 7] {
+                let parallel = eval(threads);
+                assert_eq!(
+                    serial.to_bits(),
+                    parallel.to_bits(),
+                    "n={n_samples} threads={threads}: {serial} vs {parallel}"
+                );
+            }
+            assert!(serial > 0.0);
         }
-        assert!(serial > 0.0);
     }
 
     #[test]

@@ -13,30 +13,40 @@
 //! # Execution model
 //!
 //! Every parallel pipeline is **index-based over a fixed-length source**
-//! (a slice or a `Range<usize>`). A terminal operation splits the index range
-//! into at most `current_num_threads()` contiguous chunks, maps them on
-//! scoped threads, and then combines the **order-preserved** per-element
-//! results serially. Two consequences the optimizer relies on:
+//! (a slice or a `Range<usize>`). A terminal operation cuts the index range
+//! into blocks of `ceil(len / (4 × threads))` indices (never fewer than
+//! `with_min_len`), and up to `current_num_threads()` scoped threads — the
+//! caller included — *self-schedule* them: each claims the next unclaimed
+//! block from a shared atomic counter until none are left. A thread that drew
+//! an expensive item (one Nelder–Mead start, a large candidate) or sits on a
+//! momentarily slower core simply claims fewer blocks, instead of holding up
+//! a fixed half of the range. Finished blocks are put back in block order and
+//! the **order-preserved** per-element results are combined serially. Two
+//! consequences the optimizer relies on:
 //!
 //! 1. **Determinism by construction** — because the combine step is a serial
 //!    left-to-right pass over results in source order, every terminal
 //!    operation returns *bit-identical* values for any thread count
-//!    (including 1). Floating-point sums, argmax tie-breaks, and collected
-//!    vectors cannot depend on scheduling. This is the contract behind
+//!    (including 1) and any assignment of blocks to threads. Floating-point
+//!    sums, argmax tie-breaks, and collected vectors cannot depend on
+//!    scheduling. This is the contract behind
 //!    `CmmfConfig::threads` and the `deterministic_given_seed` tests.
 //! 2. **No nested oversubscription** — a parallel call made from inside a
-//!    worker chunk runs serially (a thread-local flag marks pool workers), so
+//!    worker block runs serially (a thread-local flag marks pool workers), so
 //!    e.g. per-candidate Monte-Carlo loops do not spawn threads under the
 //!    per-step candidate fan-out.
 //!
 //! Threads are spawned per terminal operation rather than kept in a
 //! work-stealing pool. For this workspace's chunky tasks (GP predictions,
 //! Monte-Carlo acquisition scoring, covariance assembly) spawn overhead is
-//! noise; `with_min_len` guards the fine-grained cases.
+//! noise; `with_min_len` guards the fine-grained cases by capping the fan-out
+//! at `len / min_len` threads. A panic in any thread reaches the caller with
+//! its original payload.
 
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread::LocalKey;
 
 /// Everything needed at a `rayon` call site.
 pub mod prelude {
@@ -53,13 +63,13 @@ static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
 thread_local! {
     /// Per-thread override installed by [`ThreadPool::install`] (0 = unset).
     static LOCAL_THREADS: Cell<usize> = const { Cell::new(0) };
-    /// Set while this thread is executing a chunk of a parallel operation;
+    /// Set while this thread is executing a block of a parallel operation;
     /// nested parallel calls then run serially.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Number of threads a parallel operation started *now* on this thread would
-/// use: 1 inside a worker chunk, otherwise the innermost
+/// use: 1 inside a worker block, otherwise the innermost
 /// [`ThreadPool::install`] override, the [`ThreadPoolBuilder::build_global`]
 /// default, or the hardware parallelism.
 pub fn current_num_threads() -> usize {
@@ -151,10 +161,8 @@ pub struct ThreadPool {
 impl ThreadPool {
     /// Runs `f` with parallel operations capped at this pool's thread count.
     pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        let prev = LOCAL_THREADS.with(|c| c.replace(self.n));
-        let out = f();
-        LOCAL_THREADS.with(|c| c.set(prev));
-        out
+        let _threads = ScopedSet::new(&LOCAL_THREADS, self.n);
+        f()
     }
 
     /// This pool's thread count.
@@ -167,57 +175,83 @@ impl ThreadPool {
 // The executor
 // --------------------------------------------------------------------------
 
-/// Maps `0..len` through `f` into a `Vec` in index order, splitting across at
-/// most `current_num_threads()` scoped threads with at least `min_len` indices
-/// per chunk. The building block for every adapter below.
+/// Sets a thread-local cell until dropped, then restores its previous value,
+/// also when the code in between panics.
+struct ScopedSet<T: Copy + 'static> {
+    key: &'static LocalKey<Cell<T>>,
+    prev: T,
+}
+
+impl<T: Copy + 'static> ScopedSet<T> {
+    fn new(key: &'static LocalKey<Cell<T>>, value: T) -> Self {
+        ScopedSet {
+            key,
+            prev: key.with(|c| c.replace(value)),
+        }
+    }
+}
+
+impl<T: Copy + 'static> Drop for ScopedSet<T> {
+    fn drop(&mut self) {
+        self.key.with(|c| c.set(self.prev));
+    }
+}
+
+/// Blocks each thread claims per operation, on average: enough that a thread
+/// which draws slow items or runs on a slow core hands the rest to the others,
+/// few enough that claiming and concatenating blocks stays negligible.
+const BLOCKS_PER_THREAD: usize = 4;
+
+/// Maps `0..len` through `f` into a `Vec` in index order on at most
+/// `current_num_threads()` scoped threads, with at least `min_len` indices
+/// per block. The building block for every adapter below.
+///
+/// The range is cut into blocks of `ceil(len / (threads * BLOCKS_PER_THREAD))`
+/// indices (at least `min_len`). Every thread, the caller included, claims the
+/// next unclaimed block from a shared counter until none are left, so a block
+/// runs wherever a thread is free. Finished blocks are put back in block order
+/// and concatenated, so the output never depends on which thread ran which
+/// block.
 fn par_map_indices<R: Send>(len: usize, min_len: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    let threads = current_num_threads().min(len / min_len.max(1)).max(1);
-    if threads == 1 || len <= 1 {
-        let was = IN_WORKER.with(|c| c.replace(true));
-        let out = (0..len).map(f).collect();
-        IN_WORKER.with(|c| c.set(was));
-        return out;
+    let min_len = min_len.max(1);
+    let threads = current_num_threads().min(len / min_len).max(1);
+    if threads == 1 {
+        let _worker = ScopedSet::new(&IN_WORKER, true);
+        return (0..len).map(f).collect();
     }
 
-    // Contiguous chunk per thread, sized within one index of each other.
-    let base = len / threads;
-    let extra = len % threads;
-    let mut bounds = Vec::with_capacity(threads + 1);
-    let mut acc = 0;
-    bounds.push(0);
-    for t in 0..threads {
-        acc += base + usize::from(t < extra);
-        bounds.push(acc);
-    }
-
-    let run_chunk = |range: Range<usize>| -> Vec<R> {
-        let was = IN_WORKER.with(|c| c.replace(true));
-        let out = range.map(&f).collect();
-        IN_WORKER.with(|c| c.set(was));
-        out
+    let block = len.div_ceil(threads * BLOCKS_PER_THREAD).max(min_len);
+    let n_blocks = len.div_ceil(block);
+    let next = AtomicUsize::new(0);
+    // Claims blocks until none are left; returns each with its block index.
+    let claim_blocks = || -> Vec<(usize, Vec<R>)> {
+        let _worker = ScopedSet::new(&IN_WORKER, true);
+        let mut done = Vec::new();
+        loop {
+            let b = next.fetch_add(1, Ordering::Relaxed);
+            if b >= n_blocks {
+                break;
+            }
+            let range = b * block..((b + 1) * block).min(len);
+            done.push((b, range.map(&f).collect()));
+        }
+        done
     };
 
-    let mut chunks: Vec<Vec<R>> = Vec::with_capacity(threads);
-    let run_chunk = &run_chunk;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = bounds
-            .windows(2)
-            .skip(1)
-            .map(|w| {
-                let (lo, hi) = (w[0], w[1]);
-                scope.spawn(move || run_chunk(lo..hi))
-            })
-            .collect();
-        // The calling thread takes the first chunk.
-        chunks.push(run_chunk(bounds[0]..bounds[1]));
+    let claim_blocks = &claim_blocks;
+    let mut finished = std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..threads).map(|_| scope.spawn(claim_blocks)).collect();
+        let mut finished = claim_blocks();
         for h in handles {
-            // cmmf-lint: allow(P1) -- re-raising a worker's panic on the calling thread is join's contract; swallowing it would silently drop a chunk of results
-            chunks.push(h.join().expect("parallel worker panicked"));
+            // Re-raise a worker's panic on the calling thread with its payload.
+            finished.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
         }
+        finished
     });
+    finished.sort_unstable_by_key(|&(b, _)| b);
     let mut out = Vec::with_capacity(len);
-    for c in chunks {
-        out.extend(c);
+    for (_, results) in finished {
+        out.extend(results);
     }
     out
 }
@@ -389,8 +423,8 @@ impl<S: Source + Sync> ParIter<S>
 where
     S::Item: Send,
 {
-    /// Requires at least `n` items per worker chunk (caps the fan-out for
-    /// fine-grained work).
+    /// Requires at least `n` items per block, capping the fan-out at
+    /// `len / n` threads (for fine-grained work).
     pub fn with_min_len(mut self, n: usize) -> Self {
         self.min_len = n.max(1);
         self
@@ -407,7 +441,7 @@ where
 }
 
 impl<S: Source + Sync, R: Send, F: Fn(S::Item) -> R + Sync> MapIter<S, F> {
-    /// Requires at least `n` items per worker chunk.
+    /// Requires at least `n` items per block (see [`ParIter::with_min_len`]).
     pub fn with_min_len(mut self, n: usize) -> Self {
         self.min_len = n.max(1);
         self
@@ -562,7 +596,7 @@ mod tests {
         let outer: Vec<usize> = (0..8)
             .into_par_iter()
             .map(|i| {
-                // Inside a worker chunk this must not spawn again.
+                // Inside a worker block this must not spawn again.
                 assert_eq!(current_num_threads(), 1);
                 (0..100).into_par_iter().map(|j| i + j).sum::<usize>()
             })
@@ -584,5 +618,141 @@ mod tests {
         let a: Vec<usize> = v.par_iter().map(|&x| x + 1).collect();
         let b: Vec<usize> = v.par_iter().with_min_len(64).map(|&x| x + 1).collect();
         assert_eq!(a, b);
+    }
+
+    fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
+        ThreadPoolBuilder::new()
+            .num_threads(n)
+            .build()
+            .unwrap()
+            .install(f)
+    }
+
+    /// Busy work whose cost grows steeply with `i % 7`, so late-starting
+    /// blocks can finish before early ones.
+    fn skewed(i: usize) -> f64 {
+        let mut acc = (i as f64 + 1.0).ln();
+        for k in 0..(1usize << (2 * (i % 7))) {
+            acc = (acc + k as f64).sqrt().sin();
+        }
+        acc
+    }
+
+    #[test]
+    fn skewed_costs_give_bit_identical_results_at_any_thread_count() {
+        let run = |n: usize| {
+            with_threads(n, || {
+                let collected: Vec<f64> = (0..97).into_par_iter().map(skewed).collect();
+                let sum: f64 = (0..97).into_par_iter().map(skewed).sum();
+                let best = (0..97)
+                    .into_par_iter()
+                    .map(|i| ((skewed(i) * 4.0).round(), i))
+                    .max_by(|a, b| a.0.total_cmp(&b.0));
+                let result: Result<Vec<f64>, usize> = (0..97)
+                    .into_par_iter()
+                    .map(|i| if i % 40 == 39 { Err(i) } else { Ok(skewed(i)) })
+                    .collect();
+                (collected, sum, best, result)
+            })
+        };
+        let (collected, sum, best, result) = run(1);
+        assert_eq!(result, Err(39));
+        for n in [2, 3, 8] {
+            let (c, s, b, r) = run(n);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&collected), bits(&c), "collect, n={n}");
+            assert_eq!(sum.to_bits(), s.to_bits(), "sum, n={n}");
+            assert_eq!(best, b, "max_by, n={n}");
+            assert_eq!(result, r, "Result collect, n={n}");
+        }
+    }
+
+    #[test]
+    fn a_slow_item_does_not_hold_up_the_other_blocks() {
+        // 16 items on 2 threads: blocks of 2. Item 0 sleeps, so whichever
+        // thread claims block 0 is busy while the other drains every other
+        // block. A fixed half split would leave items 1..8 behind item 0.
+        let ran_on: Vec<std::thread::ThreadId> = with_threads(2, || {
+            (0..16)
+                .into_par_iter()
+                .map(|i| {
+                    if i == 0 {
+                        std::thread::sleep(std::time::Duration::from_millis(100));
+                    }
+                    std::thread::current().id()
+                })
+                .collect()
+        });
+        let slow = ran_on[0];
+        let with_slow: Vec<usize> = (0..16).filter(|&i| ran_on[i] == slow).collect();
+        assert_eq!(with_slow, vec![0, 1], "the slow thread ran another block");
+    }
+
+    #[test]
+    fn with_min_len_caps_the_number_of_threads() {
+        let distinct_threads = |min_len: usize| {
+            let ids: Vec<std::thread::ThreadId> = with_threads(8, || {
+                (0..50)
+                    .into_par_iter()
+                    .with_min_len(min_len)
+                    .map(|_| {
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                        std::thread::current().id()
+                    })
+                    .collect()
+            });
+            let mut distinct = Vec::new();
+            for id in ids {
+                if !distinct.contains(&id) {
+                    distinct.push(id);
+                }
+            }
+            distinct.len()
+        };
+        assert!(distinct_threads(20) <= 2, "50 / 20 allows 2 threads");
+        assert!(distinct_threads(17) <= 2, "50 / 17 allows 2 threads");
+        assert_eq!(distinct_threads(26), 1, "50 / 26 allows 1 thread");
+        assert!(distinct_threads(1) > 1, "50 items at min_len 1 fan out");
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_the_caller_with_its_payload() {
+        let caller = std::thread::current().id();
+        let caught = std::panic::catch_unwind(|| {
+            with_threads(2, || {
+                (0..16)
+                    .into_par_iter()
+                    .map(|i| {
+                        // Slow enough that the worker claims some blocks.
+                        std::thread::sleep(std::time::Duration::from_millis(2));
+                        assert_eq!(std::thread::current().id(), caller, "worker ran item {i}");
+                        i
+                    })
+                    .sum::<usize>()
+            })
+        });
+        let payload = caught.expect_err("the worker's panic must reach the caller");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(msg.contains("worker ran item"), "payload: {msg:?}");
+    }
+
+    #[test]
+    fn a_panic_restores_the_callers_thread_count() {
+        with_threads(3, || {
+            let caught = std::panic::catch_unwind(|| {
+                with_threads(1, || {
+                    (0..4)
+                        .into_par_iter()
+                        .map(|i| assert!(i < 2, "item {i}"))
+                        .for_each()
+                })
+            });
+            assert!(caught.is_err());
+            // Neither the nesting mark nor the inner install leaked out.
+            assert_eq!(current_num_threads(), 3);
+        });
     }
 }
